@@ -86,5 +86,5 @@ lint:
 
 # check is the full pre-merge gate: compile, static analysis, and the whole
 # test suite under the race detector (the fault-injection layers lean on
-# goroutine-per-reader execution, so -race is not optional here).
+# concurrent per-round node execution, so -race is not optional here).
 check: build vet race

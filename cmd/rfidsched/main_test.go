@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rfidsched/internal/checkpoint"
 	"rfidsched/internal/core"
@@ -292,7 +293,18 @@ func TestSchedHTTPServesTelemetry(t *testing.T) {
 	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz: %d %q", code, body)
 	}
-	// The run is short; by the linger window the gauges hold final values.
+	// The address is printed before the run starts, so on a loaded host the
+	// first scrape can beat the first slot. Wait for the run to finish: the
+	// server stays up for the whole run plus the linger window, and from
+	// then on the gauges hold their final values.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if _, body := get("/debug/flight"); strings.Contains(body, "run_completed") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("run never completed while the telemetry server was up")
+		}
+	}
 	if code, body := get("/metrics"); code != 200 ||
 		!strings.Contains(body, "mcs_slot_current") ||
 		!strings.Contains(body, "span_solve_seconds_count") {

@@ -16,8 +16,8 @@ import (
 
 // Distributed is Algorithm 3: the fully distributed One-Shot scheduler
 // without location information (Section V-B). Every reader runs the same
-// node program over the interference-graph radio topology (one goroutine
-// per reader per round, see package distnet):
+// node program over the interference-graph radio topology (every round
+// steps all readers on a worker pool, see package distnet):
 //
 //	Step 1  Each White reader collects (id, weight, adjacency) records from
 //	        its (2c+2)-hop neighborhood by flooding.
@@ -152,20 +152,40 @@ func (d *Distributed) OneShot(sys *model.System) ([]int, error) {
 		maxRounds = epochLen * (n + 2)
 	}
 
+	// Node state is dense: three bitsets over reader ids per node, carved
+	// out of one backing array. Each node's own record is fixed for the
+	// whole call (the read state does not change while the protocol runs),
+	// so it is built once here and flooded as a shared immutable pointer.
 	decisions := make([]int8, n)
 	nodes := make([]distnet.Node, n)
+	states := make([]alg3Node, n)
+	w := (n + 63) / 64
+	bits := make(bitset, 3*n*w)
 	for id := 0; id < n; id++ {
-		nodes[id] = &alg3Node{
+		b := bits[3*id*w:]
+		states[id] = alg3Node{
 			id:          id,
 			g:           d.G,
-			sys:         sys.Clone(), // private weight oracle: scratch + read-state isolation
+			base:        sys,
+			self:        &infoRec{Origin: id, Weight: sys.SingletonWeight(id), Nbrs: d.G.Neighbors(id)},
 			rho:         d.Rho,
 			c:           c,
 			epochLen:    epochLen,
 			solverNodes: d.SolverNodes,
 			decisions:   decisions,
+			known:       b[0:w:w],
+			seenResults: b[w : 2*w : 2*w],
+			knownRed:    b[2*w : 3*w : 3*w],
 		}
+		nodes[id] = &states[id]
 	}
+	defer func() {
+		for i := range states {
+			if states[i].sys != nil {
+				states[i].sys.Release()
+			}
+		}
+	}()
 	net := distnet.NewNetwork(d.G)
 	if err := d.attachFaults(net); err != nil {
 		return nil, err
@@ -232,7 +252,8 @@ const (
 )
 
 // infoRec is the Step-1 flooding payload: identity, one-shot singleton
-// weight, and radio adjacency of the origin.
+// weight, and radio adjacency of the origin. It travels as a shared
+// immutable *infoRec.
 type infoRec struct {
 	Origin int
 	Weight int
@@ -240,7 +261,7 @@ type infoRec struct {
 }
 
 // resultMsg is the Step-3 announcement: the head's committed local MWFS and
-// the neighborhood it removes.
+// the neighborhood it removes. It travels as a shared immutable *resultMsg.
 type resultMsg struct {
 	Head    int
 	Gamma   []int
@@ -250,18 +271,24 @@ type resultMsg struct {
 type alg3Node struct {
 	id          int
 	g           *graph.Graph
-	sys         *model.System
+	base        *model.System
+	sys         *model.System // private weight oracle, cloned on first use as head
+	self        *infoRec
 	rho         float64
 	c           int
 	epochLen    int
 	solverNodes int
 	decisions   []int8
 
-	state        int8
-	known        map[int]infoRec
-	freshInfo    []infoRec
-	seenResults  map[int]bool
-	freshResults []resultMsg
+	state int8
+
+	// heard lists the records received this epoch, own record first;
+	// heard[flooded:] still has to be relayed. known marks their origins.
+	heard        []*infoRec
+	flooded      int
+	known        bitset
+	seenResults  bitset // heads whose announcement arrived this epoch
+	freshResults []*resultMsg
 
 	// knownRed accumulates, across epochs, every reader this node has
 	// heard committed (Red) in announcements. A head passes them to its
@@ -269,8 +296,18 @@ type alg3Node struct {
 	// interrogation overlap with already-committed clusters is charged to
 	// the new candidates. The announcement radius r̄+1+2c+2 guarantees the
 	// relevant prior results were heard.
-	knownRed map[int]bool
+	knownRed bitset
+
+	// out is the outbox buffer, reused every round: the network has
+	// delivered a round's messages before it steps any node again.
+	out []distnet.Message
 }
+
+// bitset is a set of reader ids packed 64 to a word.
+type bitset []uint64
+
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (b bitset) add(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 
 // Step implements distnet.Node.
 func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message, bool) {
@@ -280,56 +317,53 @@ func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message,
 	if re == 0 {
 		// New epoch: forget the previous epoch's view — the White set
 		// shrank, so distances and weights must be re-collected.
-		nd.known = map[int]infoRec{}
-		nd.freshInfo = nil
-		nd.seenResults = map[int]bool{}
-		nd.freshResults = nil
-		self := infoRec{Origin: nd.id, Weight: nd.sys.SingletonWeight(nd.id), Nbrs: nd.g.Neighbors(nd.id)}
-		nd.known[nd.id] = self
-		nd.freshInfo = append(nd.freshInfo, self)
+		clear(nd.known)
+		clear(nd.seenResults)
+		nd.heard, nd.flooded = nd.heard[:0], 0
+		nd.freshResults = nd.freshResults[:0]
+		nd.learn(nd.self)
 	}
 
 	// Ingest.
 	for _, m := range inbox {
 		switch p := m.Payload.(type) {
-		case infoRec:
-			if _, ok := nd.known[p.Origin]; !ok {
-				nd.known[p.Origin] = p
-				nd.freshInfo = append(nd.freshInfo, p)
+		case *infoRec:
+			if !nd.known.has(p.Origin) {
+				nd.learn(p)
 			}
-		case resultMsg:
-			if !nd.seenResults[p.Head] {
-				nd.seenResults[p.Head] = true
+		case *resultMsg:
+			if !nd.seenResults.has(p.Head) {
+				nd.seenResults.add(p.Head)
 				nd.freshResults = append(nd.freshResults, p)
 				nd.apply(p)
 			}
 		}
 	}
 
-	var out []distnet.Message
+	out := nd.out[:0]
 	switch {
 	case re < collect:
 		// Step 1: flood info records.
-		for _, rec := range nd.freshInfo {
-			out = append(out, distnet.Broadcast(nd.g, nd.id, rec)...)
+		for _, rec := range nd.heard[nd.flooded:] {
+			out = distnet.Broadcast(out, nd.g, nd.id, rec)
 		}
-		nd.freshInfo = nil
+		nd.flooded = len(nd.heard)
 
 	case re == collect:
 		// Step 2: coordinator election and local computation.
 		if nd.isHead() {
 			res := nd.computeResult()
-			nd.seenResults[nd.id] = true
+			nd.seenResults.add(nd.id)
 			nd.apply(res)
-			out = distnet.Broadcast(nd.g, nd.id, res)
+			out = distnet.Broadcast(out, nd.g, nd.id, res)
 		}
 
 	case re < nd.epochLen-1:
 		// Step 3: flood announcements.
 		for _, res := range nd.freshResults {
-			out = append(out, distnet.Broadcast(nd.g, nd.id, res)...)
+			out = distnet.Broadcast(out, nd.g, nd.id, res)
 		}
-		nd.freshResults = nil
+		nd.freshResults = nd.freshResults[:0]
 
 	default:
 		// Decision round: Red/Black park, White continues into the next
@@ -339,37 +373,33 @@ func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message,
 			return nil, true
 		}
 	}
+	nd.out = out
 	return out, false
 }
 
-func (nd *alg3Node) apply(res resultMsg) {
-	if nd.knownRed == nil {
-		nd.knownRed = map[int]bool{}
-	}
+// learn records an info record heard for the first time this epoch.
+func (nd *alg3Node) learn(rec *infoRec) {
+	nd.known.add(rec.Origin)
+	nd.heard = append(nd.heard, rec)
+}
+
+func (nd *alg3Node) apply(res *resultMsg) {
 	for _, v := range res.Gamma {
-		nd.knownRed[v] = true
+		nd.knownRed.add(v)
 	}
-	for _, v := range res.Gamma {
-		if v == nd.id {
-			nd.state = decidedRed
-			return
-		}
-	}
-	for _, v := range res.Removed {
-		if v == nd.id {
-			nd.state = decidedBlack
-			return
-		}
+	if slices.Contains(res.Gamma, nd.id) {
+		nd.state = decidedRed
+	} else if slices.Contains(res.Removed, nd.id) {
+		nd.state = decidedBlack
 	}
 }
 
 // isHead reports whether this node's (weight, id) is maximal among every
 // White node it heard from. Lower id wins weight ties.
 func (nd *alg3Node) isHead() bool {
-	mine := nd.known[nd.id]
-	for _, rec := range nd.known {
-		if rec.Weight > mine.Weight ||
-			(rec.Weight == mine.Weight && rec.Origin < nd.id) {
+	mine := nd.self.Weight
+	for _, rec := range nd.heard {
+		if rec.Weight > mine || (rec.Weight == mine && rec.Origin < nd.id) {
 			return false
 		}
 	}
@@ -377,28 +407,30 @@ func (nd *alg3Node) isHead() bool {
 }
 
 // computeResult runs the Algorithm 2 growth rule on the locally collected
-// White subgraph around this head.
-func (nd *alg3Node) computeResult() resultMsg {
-	adj := nd.localAdjacency()
-	indep := func(u, v int) bool {
-		for _, w := range adj[u] {
-			if w == v {
-				return false
-			}
+// White subgraph around this head. Feasibility comes only from conflict
+// rows built out of the adjacency records this head collected by flooding —
+// no global graph knowledge.
+func (nd *alg3Node) computeResult() *resultMsg {
+	if nd.sys == nil {
+		nd.sys = nd.base.ClonePooled()
+	}
+	n := nd.sys.NumReaders()
+	var committed []int
+	for v := 0; v < n; v++ {
+		if nd.knownRed.has(v) {
+			committed = append(committed, v)
 		}
-		return true
 	}
-	committed := make([]int, 0, len(nd.knownRed))
-	for v := range nd.knownRed {
-		committed = append(committed, v)
+	opts := mwfs.Options{MaxNodes: nd.solverNodes, Conflicts: nd.localConflicts(n), Context: committed}
+	byID := make([]*infoRec, n)
+	for _, rec := range nd.heard {
+		byID[rec.Origin] = rec
 	}
-	slices.Sort(committed)
-	opts := mwfs.Options{MaxNodes: nd.solverNodes, Independent: indep, Context: committed}
 
 	cur := mwfs.Solve(nd.sys, []int{nd.id}, opts)
 	r := 0
 	for r < nd.c {
-		ball := nd.localBall(adj, r+1)
+		ball := nd.localBall(byID, r+1)
 		next := mwfs.Solve(nd.sys, ball, opts)
 		if float64(next.Weight) < nd.rho*float64(cur.Weight) {
 			break
@@ -406,39 +438,46 @@ func (nd *alg3Node) computeResult() resultMsg {
 		cur = next
 		r++
 	}
-	return resultMsg{Head: nd.id, Gamma: cur.Set, Removed: nd.localBall(adj, r+1)}
+	return &resultMsg{Head: nd.id, Gamma: cur.Set, Removed: nd.localBall(byID, r+1)}
 }
 
-// localAdjacency restricts collected adjacency lists to White nodes the
-// head actually heard from, yielding the local White subgraph.
-func (nd *alg3Node) localAdjacency() map[int][]int {
-	adj := make(map[int][]int, len(nd.known))
-	for o, rec := range nd.known {
+// localConflicts packs the local White subgraph as mwfs conflict rows over
+// n readers: row w has bit o whenever heard origin o lists heard reader w
+// as a radio neighbor, plus every self bit.
+func (nd *alg3Node) localConflicts(n int) []uint64 {
+	stride := (n + 63) / 64
+	conf := make(bitset, n*stride)
+	for v := 0; v < n; v++ {
+		conf[v*stride:].add(v)
+	}
+	for _, rec := range nd.heard {
 		for _, w := range rec.Nbrs {
-			if _, ok := nd.known[int(w)]; ok {
-				adj[o] = append(adj[o], int(w))
+			if nd.known.has(int(w)) {
+				conf[int(w)*stride:].add(rec.Origin)
 			}
 		}
 	}
-	return adj
+	return conf
 }
 
-// localBall is BFS to radius r on the local White subgraph from this node.
-func (nd *alg3Node) localBall(adj map[int][]int, r int) []int {
-	dist := map[int]int{nd.id: 0}
-	queue := []int{nd.id}
+// localBall is BFS to radius r on the local White subgraph from this node;
+// byID indexes the heard records by origin.
+func (nd *alg3Node) localBall(byID []*infoRec, r int) []int {
+	dist := make([]int, len(byID))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[nd.id] = 0
 	out := []int{nd.id}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for q := 0; q < len(out); q++ {
+		u := out[q]
 		if dist[u] >= r {
 			continue
 		}
-		for _, w := range adj[u] {
-			if _, ok := dist[w]; !ok {
+		for _, w := range byID[u].Nbrs {
+			if byID[w] != nil && dist[w] < 0 {
 				dist[w] = dist[u] + 1
-				queue = append(queue, w)
-				out = append(out, w)
+				out = append(out, int(w))
 			}
 		}
 	}

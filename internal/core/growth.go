@@ -104,7 +104,9 @@ func (gr *Growth) OneShot(sys *model.System) ([]int, error) {
 	if maxR <= 0 {
 		maxR = radiusBound(gr.Rho, sys.NumTags())
 	}
-	indep := func(u, v int) bool { return !gr.G.HasEdge(u, v) }
+	// Feasibility comes from the graph's own rows, never from geometry, so
+	// a survey-estimated G is honoured exactly.
+	conf, _ := gr.G.ConflictBits()
 
 	gr.LastMaxRadius = 0
 	gr.LastCoordinators = 0
@@ -119,7 +121,7 @@ func (gr *Growth) OneShot(sys *model.System) ([]int, error) {
 		}
 		gr.LastCoordinators++
 
-		gamma, rBar := gr.growLocal(sys, alive, v, maxR, indep, X)
+		gamma, rBar := gr.growLocal(sys, alive, v, maxR, conf, X)
 		if rBar > gr.LastMaxRadius {
 			gr.LastMaxRadius = rBar
 		}
@@ -174,8 +176,8 @@ func pruneByWeight(sys *model.System, X []int) []int {
 // readers already committed by earlier clusters are passed as solver
 // context so the local objective is the marginal weight — overlap between
 // clusters is charged where it belongs.
-func (gr *Growth) growLocal(sys *model.System, alive []bool, v, maxR int, indep func(u, v int) bool, committed []int) ([]int, int) {
-	opts := mwfs.Options{MaxNodes: gr.SolverNodes, Workers: gr.Workers, Independent: indep, Context: committed, Deadline: gr.Deadline}
+func (gr *Growth) growLocal(sys *model.System, alive []bool, v, maxR int, conf []uint64, committed []int) ([]int, int) {
+	opts := mwfs.Options{MaxNodes: gr.SolverNodes, Workers: gr.Workers, Conflicts: conf, Context: committed, Deadline: gr.Deadline}
 	cur := mwfs.Solve(sys, []int{v}, opts) // Γ_0 = {v}
 	if cur.TimedOut {
 		// Expired before Γ_0 could even be scored: degrade to the seed

@@ -465,7 +465,7 @@ func (dp *ptasDP) solve(key sqKey, ctx []int) []int {
 				d := cands[i]
 				ok := true
 				for _, c := range chosen {
-					if !dp.independent(d, c) {
+					if !dp.sys.Independent(d, c) {
 						ok = false
 						break
 					}
@@ -489,9 +489,8 @@ func (dp *ptasDP) solve(key sqKey, ctx []int) []int {
 			// own chunked polls truncate the subtree search, and its anytime
 			// best is still worth evaluating — the incumbent is feasible.
 			res := mwfs.Solve(dp.sys, cands, mwfs.Options{
-				MaxNodes:    remaining,
-				Independent: dp.independent,
-				Deadline:    dp.dl,
+				MaxNodes: remaining,
+				Deadline: dp.dl,
 			})
 			dp.evals += res.Nodes
 			if res.TimedOut {
@@ -546,15 +545,11 @@ func (dp *ptasDP) filterIntersecting(set []int, ck sqKey) []int {
 
 func (dp *ptasDP) compatible(d int, ctx []int) bool {
 	for _, c := range ctx {
-		if !dp.independent(d, c) {
+		if !dp.sys.Independent(d, c) {
 			return false
 		}
 	}
 	return true
-}
-
-func (dp *ptasDP) independent(a, b int) bool {
-	return dp.sys.Independent(a, b)
 }
 
 // weightWith returns w(set ∪ ctx) on the solver's system handle.

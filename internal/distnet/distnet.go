@@ -1,13 +1,16 @@
 // Package distnet is the message-passing substrate for Algorithm 3: a
 // synchronous (BSP-style) network of reader nodes. Each node runs its Step
-// function once per round — all Steps of a round execute concurrently on
-// their own goroutines — and may send messages only to its neighbors in the
-// interference graph; messages sent in round t are delivered at round t+1.
+// function once per round — the Steps of a round execute concurrently on a
+// GOMAXPROCS-sized worker pool — and may send messages only to its neighbors
+// in the interference graph; messages sent in round t are delivered at round
+// t+1.
 //
 // The synchronous model matches the paper's setting (slotted time is
 // already assumed for tag reading) and makes executions deterministic:
-// inboxes are sorted by sender at delivery time, so a seeded run always
-// produces the same schedule regardless of goroutine interleaving.
+// every Step's outbox lands in its node's own result slot and delivery walks
+// the slots in id order, so inboxes arrive sorted by sender and a seeded run
+// always produces the same schedule regardless of goroutine interleaving or
+// worker count.
 //
 // Failure injection is scripted through package fault (WithFaults): reader
 // crashes stop a node from stepping and sending, partitions cut edge
@@ -18,8 +21,10 @@ package distnet
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"rfidsched/internal/fault"
 	"rfidsched/internal/graph"
@@ -36,6 +41,11 @@ type Message struct {
 // number and this round's inbox and return messages to send (delivered next
 // round). Returning done=true parks the node: Step is no longer called, and
 // when every node is done the network halts.
+//
+// Buffers are recycled between rounds: the inbox is valid only for the
+// duration of the Step call (copy messages out to keep them), and the
+// network has finished reading a returned outbox before any node's next
+// Step, so a node may reuse its outbox buffer from round to round.
 type Node interface {
 	Step(round int, inbox []Message) (outbox []Message, done bool)
 }
@@ -131,14 +141,14 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 	plan := n.plan
 	done := make([]bool, len(nodes))   // parked by protocol decision
 	failed := make([]bool, len(nodes)) // removed by permanent crash
+	// Inboxes are double-buffered: once a round's Steps are done with
+	// inboxes, delivery refills next, and the two swap.
 	inboxes := make([][]Message, len(nodes))
+	next := make([][]Message, len(nodes))
+	results := make([]stepResult, len(nodes)) // by node id
+	var stepping, stragglers []int
+	var shuffled []Message
 	remaining := len(nodes)
-
-	type result struct {
-		id     int
-		outbox []Message
-		done   bool
-	}
 
 	for round := 0; remaining > 0; round++ {
 		if round >= maxRounds {
@@ -151,7 +161,7 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 			for id := range nodes {
 				if !done[id] && !failed[id] && plan.PermanentlyDown(id, round) {
 					failed[id] = true
-					inboxes[id] = nil
+					inboxes[id] = inboxes[id][:0]
 					stats.CrashedNodes++
 					remaining--
 				}
@@ -165,10 +175,7 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 		}
 		crashedNow := func(id int) bool { return plan != nil && plan.Crashed(id, round) }
 
-		results := make([]result, 0, remaining)
-		var stragglers []int
-		var mu sync.Mutex
-		var wg sync.WaitGroup
+		stepping, stragglers = stepping[:0], stragglers[:0]
 		for id := range nodes {
 			if done[id] || failed[id] {
 				continue
@@ -176,7 +183,7 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 			if crashedNow(id) {
 				// Transient outage: the node is dark and its radio buffers
 				// are lost; it resumes stepping after the scripted reboot.
-				inboxes[id] = nil
+				inboxes[id] = inboxes[id][:0]
 				continue
 			}
 			if plan != nil && plan.Straggling(id, round) {
@@ -185,38 +192,32 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 				stragglers = append(stragglers, id)
 				continue
 			}
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				out, d := nodes[id].Step(round, inboxes[id])
-				mu.Lock()
-				results = append(results, result{id: id, outbox: out, done: d})
-				mu.Unlock()
-			}(id)
+			stepping = append(stepping, id)
 		}
-		wg.Wait()
-		slices.SortFunc(results, func(a, b result) int { return a.id - b.id })
+		stepAll(nodes, stepping, inboxes, results, round)
 
-		next := make([][]Message, len(nodes))
+		for id := range next {
+			next[id] = next[id][:0]
+		}
 		for _, id := range stragglers {
-			next[id] = inboxes[id] // unread messages carry over
+			next[id] = append(next[id], inboxes[id]...) // unread messages carry over
 		}
 		// Park first, deliver second: a message sent to a node that parked
 		// this same round must not enqueue, regardless of id order.
-		for _, res := range results {
-			if l := len(inboxes[res.id]); l > stats.MaxInboxSize {
+		for _, id := range stepping {
+			if l := len(inboxes[id]); l > stats.MaxInboxSize {
 				stats.MaxInboxSize = l
 			}
-			if res.done {
-				done[res.id] = true
-				stats.ParkedAtRound[res.id] = round
+			if results[id].done {
+				done[id] = true
+				stats.ParkedAtRound[id] = round
 				remaining--
 			}
 		}
-		for _, res := range results {
-			for _, m := range res.outbox {
-				if m.From != res.id {
-					return stats, fmt.Errorf("distnet: node %d forged sender %d", res.id, m.From)
+		for _, id := range stepping {
+			for _, m := range results[id].outbox {
+				if m.From != id {
+					return stats, fmt.Errorf("distnet: node %d forged sender %d", id, m.From)
 				}
 				if !n.g.HasEdge(m.From, m.To) {
 					return stats, fmt.Errorf("distnet: node %d sent beyond radio range to %d", m.From, m.To)
@@ -249,32 +250,75 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 				}
 			}
 		}
-		// Deterministic delivery order (sorted by sender), then scripted
-		// reordering if a reorder fault is active.
-		for id := range next {
-			box := next[id]
+		// Delivery order is by sender: fresh messages already arrive in id
+		// order, and the stable sort only moves a straggler's carried-over
+		// messages among them. Then scripted reordering if a reorder fault
+		// is active.
+		for id, box := range next {
 			if len(box) < 2 {
 				continue
 			}
-			slices.SortStableFunc(box, func(a, b Message) int { return a.From - b.From })
+			if len(stragglers) > 0 {
+				slices.SortStableFunc(box, func(a, b Message) int { return a.From - b.From })
+			}
 			if plan != nil && plan.Reordered(round) {
 				perm := plan.Perm(len(box))
-				shuffled := make([]Message, len(box))
+				shuffled = append(shuffled[:0], box...)
 				for i, j := range perm {
-					shuffled[i] = box[j]
+					box[i] = shuffled[j]
 				}
-				next[id] = shuffled
 			}
+			next[id] = box
 		}
-		inboxes = next
+		inboxes, next = next, inboxes
 	}
 	return stats, nil
 }
 
-// Broadcast is a helper constructing one message per neighbor of from.
-func Broadcast(g *graph.Graph, from int, payload any) []Message {
+// stepResult is one node's Step output for the current round.
+type stepResult struct {
+	outbox []Message
+	done   bool
+}
+
+// stepAll runs the Steps of one round on a worker pool of at most
+// GOMAXPROCS goroutines (the caller's included). Each result goes to its
+// node's own slot, so completion order never matters.
+func stepAll(nodes []Node, ids []int, inboxes [][]Message, results []stepResult, round int) {
+	step := func(id int) {
+		out, d := nodes[id].Step(round, inboxes[id])
+		results[id] = stepResult{outbox: out, done: d}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(ids))
+	if workers < 2 {
+		for _, id := range ids {
+			step(id)
+		}
+		return
+	}
+	var cursor atomic.Int64
+	work := func() {
+		for k := int(cursor.Add(1)) - 1; k < len(ids); k = int(cursor.Add(1)) - 1 {
+			step(ids[k])
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// Broadcast appends to out one message per neighbor of from, all carrying
+// payload, and returns the extended slice.
+func Broadcast(out []Message, g *graph.Graph, from int, payload any) []Message {
 	nbrs := g.Neighbors(from)
-	out := make([]Message, 0, len(nbrs))
+	out = slices.Grow(out, len(nbrs))
 	for _, to := range nbrs {
 		out = append(out, Message{From: from, To: int(to), Payload: payload})
 	}

@@ -27,11 +27,11 @@ type flooder struct {
 func (f *flooder) Step(round int, inbox []Message) ([]Message, bool) {
 	if f.id == 0 && round == 0 {
 		atomic.StoreInt32(&f.heard, 1)
-		return Broadcast(f.g, 0, "tok"), false
+		return Broadcast(nil, f.g, 0, "tok"), false
 	}
 	if atomic.LoadInt32(&f.heard) == 0 && len(inbox) > 0 {
 		atomic.StoreInt32(&f.heard, int32(round)+1)
-		return Broadcast(f.g, f.id, "tok"), false
+		return Broadcast(nil, f.g, f.id, "tok"), false
 	}
 	// Park once heard (or after enough silence).
 	if atomic.LoadInt32(&f.heard) != 0 || round > 10 {
@@ -155,7 +155,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 				if round >= 3 {
 					return nil, true
 				}
-				return Broadcast(g, i, round), false
+				return Broadcast(nil, g, i, round), false
 			})
 		}
 		return nodes, g

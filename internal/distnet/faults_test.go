@@ -2,9 +2,12 @@ package distnet
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"rfidsched/internal/fault"
+	"rfidsched/internal/graph"
 )
 
 // chatter sends payload to a fixed peer every round until lastRound, then
@@ -240,5 +243,88 @@ func TestWithLossShimDropsEverything(t *testing.T) {
 	}
 	if stats.MessagesLost == 0 || stats.MessagesLost != stats.MessagesSent-stats.UndeliveredDown {
 		t.Errorf("loss accounting off: %+v", stats)
+	}
+}
+
+// digester hashes its inbox sequence (round, sender, payload, position) so
+// any change in delivery content or order shows up in its final digest. It
+// gossips its digest to every neighbor each round and parks at lastRound,
+// or earlier once its digest hits a residue that depends on everything it
+// has heard.
+type digester struct {
+	id, lastRound int
+	g             *graph.Graph
+	digest        uint64
+	out           []Message
+}
+
+func (d *digester) Step(round int, inbox []Message) ([]Message, bool) {
+	if d.id%4 == 0 {
+		// Finish late, so pooled completion order differs from id order.
+		time.Sleep(20 * time.Microsecond)
+	}
+	for i, m := range inbox {
+		d.digest = d.digest*1099511628211 ^ uint64(round)<<40 ^ uint64(m.From)<<20 ^ m.Payload.(uint64) ^ uint64(i)
+	}
+	if round >= d.lastRound || (round > 4 && d.digest%29 == 0) {
+		return nil, true
+	}
+	out := d.out[:0]
+	for _, to := range d.g.Neighbors(d.id) {
+		out = append(out, Message{From: d.id, To: int(to), Payload: d.digest + uint64(d.id)})
+	}
+	d.out = out
+	return out, false
+}
+
+// TestRunDeterministicAcrossGOMAXPROCS runs a gossip protocol under a fault
+// plan that exercises every delivery-order hazard (stragglers carrying
+// inboxes over, duplication, reordering, a healing partition, loss and a
+// crash-recover window) and requires identical Stats and per-node digests
+// whether the round's Steps run on one worker or four.
+func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	const n = 24
+	var edges [][2]int
+	for i := 0; i < n; i++ {
+		edges = append(edges, [2]int{i, (i + 1) % n}, [2]int{i, (i + 5) % n})
+	}
+	g := mustGraph(t, n, edges)
+	sc := fault.Scenario{Seed: 91, Events: []fault.Event{
+		fault.Straggle(3, 2, 3),
+		fault.Straggle(11, 5, 2),
+		fault.Duplicate(0.2, 0, fault.Forever),
+		fault.Reorder(4, 12),
+		fault.Partition([][2]int{{7, 8}, {15, 20}}, 3, 9),
+		fault.Loss(0.05, 0, fault.Forever),
+		fault.CrashRecover(19, 6, 9),
+	}}
+	run := func(procs int) (*Stats, []uint64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		nodes := make([]Node, n)
+		ds := make([]*digester, n)
+		for i := range nodes {
+			ds[i] = &digester{id: i, lastRound: 30 + i%7, g: g, digest: uint64(i) + 1}
+			nodes[i] = ds[i]
+		}
+		stats, err := NewNetwork(g).WithFaults(fault.MustCompile(sc, n)).Run(nodes, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests := make([]uint64, n)
+		for i, d := range ds {
+			digests[i] = d.digest
+		}
+		return stats, digests
+	}
+	s1, d1 := run(1)
+	s4, d4 := run(4)
+	if s1.StragglerSkips == 0 || s1.DuplicatedMessages == 0 || s1.PartitionDropped == 0 || s1.MessagesLost == 0 {
+		t.Fatalf("fault plan left a hazard unexercised: %+v", s1)
+	}
+	if !reflect.DeepEqual(s1, s4) {
+		t.Errorf("stats differ:\n GOMAXPROCS=1 %+v\n GOMAXPROCS=4 %+v", s1, s4)
+	}
+	if !reflect.DeepEqual(d1, d4) {
+		t.Errorf("node digests differ:\n GOMAXPROCS=1 %v\n GOMAXPROCS=4 %v", d1, d4)
 	}
 }

@@ -11,7 +11,7 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"sync"
 
 	"rfidsched/internal/model"
 )
@@ -23,6 +23,12 @@ type Graph struct {
 	n   int
 	adj [][]int32
 	m   int // edge count
+
+	// conf packs the closed neighbourhoods as bitsets, built on first use
+	// (see ConflictBits); confW is the row stride in words.
+	confOnce sync.Once
+	conf     []uint64
+	confW    int
 }
 
 // New builds a graph over n vertices from an edge list. Self-loops and
@@ -99,11 +105,38 @@ func (g *Graph) MaxDegree() int {
 // the returned slice.
 func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
 
-// HasEdge reports whether u and v are adjacent.
+// HasEdge reports whether u and v are adjacent: one bit test against the
+// conflict rows. Out-of-range v and u == v report false.
 func (g *Graph) HasEdge(u, v int) bool {
-	l := g.adj[u]
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= int32(v) })
-	return i < len(l) && l[i] == int32(v)
+	if u == v || uint(v) >= uint(g.n) {
+		return false
+	}
+	conf, w := g.ConflictBits()
+	return conf[u*w+(v>>6)]&(1<<(uint(v)&63)) != 0
+}
+
+// ConflictBits returns the adjacency matrix packed in the layout of
+// model.System.ConflictBits: row v occupies words [v*stride, (v+1)*stride),
+// bit u is set iff u and v are adjacent, and the self bit is set (a reader
+// conflicts with itself). For FromSystem graphs the matrix equals the
+// system's word for word; for survey-estimated graphs it encodes the
+// estimated edges only, which is what lets Algorithms 2 and 3 judge
+// feasibility from the graph alone. Built on first use; the slice is shared
+// and immutable, so callers must not mutate it.
+func (g *Graph) ConflictBits() (bits []uint64, stride int) {
+	g.confOnce.Do(func() {
+		w := (g.n + 63) / 64
+		bits := make([]uint64, g.n*w)
+		for v, l := range g.adj {
+			row := bits[v*w : (v+1)*w]
+			row[uint(v)>>6] |= 1 << (uint(v) & 63)
+			for _, u := range l {
+				row[uint(u)>>6] |= 1 << (uint(u) & 63)
+			}
+		}
+		g.conf, g.confW = bits, w
+	})
+	return g.conf, g.confW
 }
 
 // IsIndependentSet reports whether no two vertices of set are adjacent. In

@@ -18,6 +18,8 @@
 package mwfs
 
 import (
+	"fmt"
+
 	"rfidsched/internal/model"
 	"rfidsched/internal/parsearch"
 )
@@ -40,17 +42,18 @@ type Options struct {
 	// the anytime best may legitimately differ across worker counts; the
 	// shared Exact=false flag means the same thing in every mode: the
 	// global node allowance ran out before the tree did.
-	//
-	// Options.Independent must be safe for concurrent calls (a pure
-	// function of its arguments, as graph- and geometry-backed predicates
-	// are) when Workers >= 2.
 	Workers int
 
-	// Independent overrides the feasibility predicate. Algorithms 2 and 3
-	// pass graph adjacency here so that feasibility is judged purely from
-	// the (possibly survey-estimated) interference graph, never from
-	// geometry. Nil means the system's geometric independence (Def. 2).
-	Independent func(u, v int) bool
+	// Conflicts overrides the feasibility relation with a packed conflict
+	// matrix in the layout of model.System.ConflictBits: reader v's row
+	// occupies words [v*stride, (v+1)*stride) with stride =
+	// (NumReaders+63)/64, bit u set iff u and v may not be active together,
+	// self bit set. Algorithms 2 and 3 pass interference-graph rows here so
+	// that feasibility is judged purely from the (possibly survey-estimated)
+	// graph, never from geometry. Nil means the system's geometric
+	// independence (Def. 2). The matrix is only read, so one slice may back
+	// concurrent solves.
+	Conflicts []uint64
 
 	// Context lists readers already committed to be active elsewhere. The
 	// solver then maximizes the MARGINAL weight w(set ∪ Context) -
@@ -130,10 +133,7 @@ func Solve(sys *model.System, candidates []int, opts Options) Result {
 		suffix[i] = suffix[i+1] + single[cand[i]]
 	}
 
-	indep := opts.Independent
-	if indep == nil {
-		indep = sys.Independent
-	}
+	conf, confW := conflictMatrix(sys, opts.Conflicts)
 
 	// Parallel engine: only when a real pool was requested and the frontier
 	// split leaves the workers non-trivial subtrees to chew on. A candidate
@@ -141,27 +141,21 @@ func Solve(sys *model.System, candidates []int, opts Options) Result {
 	// the (sequential) frontier expansion anyway.
 	if workers := parsearch.Normalize(opts.Workers); workers >= 2 {
 		if d := frontierDepth(len(cand), workers); len(cand) > d {
-			return solveParallel(sys, cand, suffix, indep, opts, maxNodes, workers, d)
+			return solveParallel(sys, cand, suffix, conf, confW, opts, maxNodes, workers, d)
 		}
 	}
 
 	s := &solver{
 		sys:      sys,
-		indep:    indep,
+		conf:     conf,
+		confW:    confW,
+		curBits:  make([]uint64, confW),
 		cand:     cand,
 		suffix:   suffix,
 		maxNodes: maxNodes,
 		exact:    true,
 		ctx:      opts.Context,
 		dl:       opts.Deadline,
-	}
-	if opts.Independent == nil {
-		// Geometric feasibility: word-AND against the precomputed conflict
-		// bitsets instead of the per-member predicate loop. Identical verdicts
-		// (the bitsets are derived from the same Interferes comparisons), so
-		// the search trajectory is unchanged.
-		s.conf, s.confW = sys.ConflictBits()
-		s.curBits = make([]uint64, s.confW)
 	}
 	if opts.BruteForce {
 		s.ctxW = sys.Weight(opts.Context)
@@ -190,8 +184,7 @@ func Solve(sys *model.System, candidates []int, opts Options) Result {
 type solver struct {
 	sys      *model.System
 	eval     *model.WeightEval // nil on the brute-force path
-	indep    func(u, v int) bool
-	conf     []uint64 // conflict bitsets (nil when Options.Independent overrides)
+	conf     []uint64          // conflict matrix (see conflictMatrix)
 	confW    int
 	curBits  []uint64 // bitset mirror of cur, maintained by rec
 	cand     []int
@@ -253,23 +246,9 @@ func (s *solver) rec(i, curW int) {
 
 	v := s.cand[i]
 	// Branch 1: include v if feasible with the current set.
-	var feasible bool
-	if s.conf != nil {
-		feasible = feasibleBits(s.conf, s.confW, v, s.curBits)
-	} else {
-		feasible = true
-		for _, u := range s.cur {
-			if !s.indep(u, v) {
-				feasible = false
-				break
-			}
-		}
-	}
-	if feasible {
+	if feasibleBits(s.conf, s.confW, v, s.curBits) {
 		s.cur = append(s.cur, v)
-		if s.curBits != nil {
-			s.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
-		}
+		s.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
 		if s.eval != nil {
 			s.eval.Add(v)
 			s.rec(i+1, s.eval.Weight()-s.ctxW)
@@ -277,20 +256,31 @@ func (s *solver) rec(i, curW int) {
 		} else {
 			s.rec(i+1, s.marginal())
 		}
-		if s.curBits != nil {
-			s.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
-		}
+		s.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 		s.cur = s.cur[:len(s.cur)-1]
 	}
 	// Branch 2: exclude v.
 	s.rec(i+1, curW)
 }
 
-// feasibleBits reports whether candidate v is independent from every member
-// of the bitset-mirrored current set: a word-AND of v's conflict row against
-// the set bits. Equivalent to the pairwise Independent loop because the
-// conflict bitsets encode exactly the symmetric Interferes relation (plus the
-// self bit, which also reproduces the duplicate-candidate verdict).
+// conflictMatrix resolves Options.Conflicts: nil selects the system's own
+// geometric conflict bitsets, anything else must have the same shape.
+func conflictMatrix(sys *model.System, override []uint64) ([]uint64, int) {
+	if override == nil {
+		return sys.ConflictBits()
+	}
+	n := sys.NumReaders()
+	w := (n + 63) / 64
+	if len(override) != n*w {
+		panic(fmt.Sprintf("mwfs: Options.Conflicts has %d words, want %d readers x %d", len(override), n, w))
+	}
+	return override, w
+}
+
+// feasibleBits reports whether candidate v conflicts with no member of the
+// bitset-mirrored current set: a word-AND of v's conflict row against the
+// set bits. This is the only feasibility test of every solver in the
+// package; the self bit also rejects a duplicate candidate.
 func feasibleBits(conf []uint64, confW, v int, curBits []uint64) bool {
 	row := conf[v*confW : (v+1)*confW]
 	for k, w := range row {

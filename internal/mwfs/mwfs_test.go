@@ -169,3 +169,38 @@ func TestSolveDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveConflictsOverride checks that Options.Conflicts alone decides
+// feasibility: a complete conflict matrix admits only singletons, a
+// self-only matrix admits every subset, and a mis-shaped matrix is refused.
+func TestSolveConflictsOverride(t *testing.T) {
+	s := figure2System(t)
+	n := s.NumReaders()
+	all := []int{0, 1, 2}
+
+	complete := make([]uint64, n) // one word per row
+	selfOnly := make([]uint64, n)
+	for v := 0; v < n; v++ {
+		complete[v] = 1<<n - 1
+		selfOnly[v] = 1 << v
+	}
+	res := Solve(s, all, Options{Conflicts: complete})
+	if len(res.Set) != 1 || res.Weight != 3 {
+		t.Errorf("complete conflicts: got %+v, want one reader of weight 3", res)
+	}
+	geo := Solve(s, all, Options{})
+	res = Solve(s, all, Options{Conflicts: selfOnly})
+	if res.Weight < geo.Weight {
+		t.Errorf("self-only conflicts: weight %d below the geometric optimum %d", res.Weight, geo.Weight)
+	}
+	if own, _ := s.ConflictBits(); !samePick(Solve(s, all, Options{Conflicts: own}), geo) {
+		t.Error("passing the system's own matrix changed the answer")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("mis-shaped Conflicts did not panic")
+		}
+	}()
+	Solve(s, all, Options{Conflicts: make([]uint64, n+1)})
+}

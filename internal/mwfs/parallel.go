@@ -74,7 +74,7 @@ type taskResult struct {
 	truncated bool
 }
 
-func solveParallel(sys *model.System, cand, suffix []int, indep func(u, v int) bool, opts Options, maxNodes, workers, depth int) Result {
+func solveParallel(sys *model.System, cand, suffix []int, conf []uint64, confW int, opts Options, maxNodes, workers, depth int) Result {
 	// The deadline rides the budget: Reserve polls it once per chunk, so
 	// expiry drains every worker through the same monotone "grant = 0"
 	// transition as node exhaustion (anytime contract, DESIGN.md §12).
@@ -82,17 +82,15 @@ func solveParallel(sys *model.System, cand, suffix []int, indep func(u, v int) b
 
 	// Phase 1: sequential frontier expansion on the caller's goroutine.
 	x := &expander{
-		sys:    sys,
-		indep:  indep,
-		cand:   cand,
-		suffix: suffix,
-		depth:  depth,
-		ctx:    opts.Context,
-		budget: budget,
-	}
-	if opts.Independent == nil {
-		x.conf, x.confW = sys.ConflictBits()
-		x.curBits = make([]uint64, x.confW)
+		sys:     sys,
+		conf:    conf,
+		confW:   confW,
+		curBits: make([]uint64, confW),
+		cand:    cand,
+		suffix:  suffix,
+		depth:   depth,
+		ctx:     opts.Context,
+		budget:  budget,
 	}
 	if opts.BruteForce {
 		x.ctxW = sys.Weight(opts.Context)
@@ -117,7 +115,7 @@ func solveParallel(sys *model.System, cand, suffix []int, indep func(u, v int) b
 	parsearch.ForEach(workers, len(x.tasks), func(worker, ti int) {
 		ps := solvers[worker]
 		if ps == nil {
-			ps = newPSolver(sys, cand, suffix, indep, opts, depth, incumbent, budget)
+			ps = newPSolver(sys, cand, suffix, conf, confW, opts, depth, incumbent, budget)
 			solvers[worker] = ps
 		}
 		results[ti] = ps.solveTask(x.tasks[ti])
@@ -160,8 +158,7 @@ func solveParallel(sys *model.System, cand, suffix []int, indep func(u, v int) b
 type expander struct {
 	sys     *model.System
 	eval    *model.WeightEval // nil on the brute-force path
-	indep   func(u, v int) bool
-	conf    []uint64 // conflict bitsets (nil when Options.Independent overrides)
+	conf    []uint64          // conflict matrix (see conflictMatrix)
 	confW   int
 	curBits []uint64
 	cand    []int
@@ -207,23 +204,9 @@ func (x *expander) expand(i, curW int) {
 		return
 	}
 	v := x.cand[i]
-	var feasible bool
-	if x.conf != nil {
-		feasible = feasibleBits(x.conf, x.confW, v, x.curBits)
-	} else {
-		feasible = true
-		for _, u := range x.cur {
-			if !x.indep(u, v) {
-				feasible = false
-				break
-			}
-		}
-	}
-	if feasible {
+	if feasibleBits(x.conf, x.confW, v, x.curBits) {
 		x.cur = append(x.cur, v)
-		if x.curBits != nil {
-			x.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
-		}
+		x.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
 		if x.eval != nil {
 			x.eval.Add(v)
 			x.expand(i+1, x.eval.Weight()-x.ctxW)
@@ -231,9 +214,7 @@ func (x *expander) expand(i, curW int) {
 		} else {
 			x.expand(i+1, x.marginal())
 		}
-		if x.curBits != nil {
-			x.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
-		}
+		x.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 		x.cur = x.cur[:len(x.cur)-1]
 	}
 	x.expand(i+1, curW)
@@ -252,8 +233,7 @@ func (x *expander) marginal() int {
 type psolver struct {
 	sys       *model.System
 	eval      *model.WeightEval // nil on the brute-force path
-	indep     func(u, v int) bool
-	conf      []uint64 // conflict bitsets (nil when Options.Independent overrides)
+	conf      []uint64          // conflict matrix (see conflictMatrix)
 	confW     int
 	curBits   []uint64
 	cand      []int
@@ -274,23 +254,21 @@ type psolver struct {
 	scratch   []int
 }
 
-func newPSolver(sys *model.System, cand, suffix []int, indep func(u, v int) bool, opts Options, depth int, incumbent *parsearch.Incumbent, budget *parsearch.Budget) *psolver {
+func newPSolver(sys *model.System, cand, suffix []int, conf []uint64, confW int, opts Options, depth int, incumbent *parsearch.Incumbent, budget *parsearch.Budget) *psolver {
 	// Workers draw their private System clone and evaluator from the
 	// geometry's pools: per-solve worker setup stops allocating once the
 	// pools are warm (close() returns both).
 	ps := &psolver{
 		sys:       sys.ClonePooled(),
-		indep:     indep,
+		conf:      conf,
+		confW:     confW,
+		curBits:   make([]uint64, confW),
 		cand:      cand,
 		suffix:    suffix,
 		ctx:       opts.Context,
 		depth:     depth,
 		incumbent: incumbent,
 		budget:    budget,
-	}
-	if opts.Independent == nil {
-		ps.conf, ps.confW = ps.sys.ConflictBits()
-		ps.curBits = make([]uint64, ps.confW)
 	}
 	if opts.BruteForce {
 		ps.ctxW = ps.sys.Weight(opts.Context)
@@ -324,10 +302,8 @@ func (ps *psolver) solveTask(t task) taskResult {
 	ps.hasBest = false
 	ps.nodes = 0
 	ps.truncated = false
-	if ps.curBits != nil {
-		for _, v := range t.prefix {
-			ps.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
-		}
+	for _, v := range t.prefix {
+		ps.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
 	}
 	if ps.eval != nil {
 		for _, v := range t.prefix {
@@ -340,10 +316,8 @@ func (ps *psolver) solveTask(t task) taskResult {
 			ps.eval.Remove(v)
 		}
 	}
-	if ps.curBits != nil {
-		for _, v := range t.prefix {
-			ps.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
-		}
+	for _, v := range t.prefix {
+		ps.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 	}
 	return taskResult{
 		set:       append([]int(nil), ps.best...),
@@ -383,23 +357,9 @@ func (ps *psolver) rec(i, curW int) {
 		return
 	}
 	v := ps.cand[i]
-	var feasible bool
-	if ps.conf != nil {
-		feasible = feasibleBits(ps.conf, ps.confW, v, ps.curBits)
-	} else {
-		feasible = true
-		for _, u := range ps.cur {
-			if !ps.indep(u, v) {
-				feasible = false
-				break
-			}
-		}
-	}
-	if feasible {
+	if feasibleBits(ps.conf, ps.confW, v, ps.curBits) {
 		ps.cur = append(ps.cur, v)
-		if ps.curBits != nil {
-			ps.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
-		}
+		ps.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
 		if ps.eval != nil {
 			ps.eval.Add(v)
 			ps.rec(i+1, ps.eval.Weight()-ps.ctxW)
@@ -407,9 +367,7 @@ func (ps *psolver) rec(i, curW int) {
 		} else {
 			ps.rec(i+1, ps.marginal())
 		}
-		if ps.curBits != nil {
-			ps.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
-		}
+		ps.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 		ps.cur = ps.cur[:len(ps.cur)-1]
 	}
 	ps.rec(i+1, curW)

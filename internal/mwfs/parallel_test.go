@@ -103,11 +103,11 @@ func TestSolveParallelDeterminismDense(t *testing.T) {
 					seedReader, bestW = v, w
 				}
 			}
-			indep := func(u, v int) bool { return !g.HasEdge(u, v) }
+			conf, _ := g.ConflictBits()
 			for _, cands := range [][]int{full, g.Ball(seedReader, 4)} {
-				ref := Solve(sys, cands, Options{Independent: indep})
+				ref := Solve(sys, cands, Options{Conflicts: conf})
 				for _, w := range []int{2, 4, 8} {
-					got := Solve(sys, cands, Options{Independent: indep, Workers: w})
+					got := Solve(sys, cands, Options{Conflicts: conf, Workers: w})
 					if !samePick(ref, got) {
 						t.Fatalf("trial %d lambdaR=%v |cands|=%d: Workers=%d returned %+v, sequential %+v",
 							trial, lambdaR, len(cands), w, got, ref)

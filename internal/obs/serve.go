@@ -5,6 +5,20 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
+)
+
+// Connection timeouts of every server ServeHandler starts. They bound what a
+// hostile or broken client can hold open: headers must arrive within
+// readHeaderTimeout (a slowloris client trickling header lines is cut off),
+// the whole request including its body within readTimeout, and an idle
+// keep-alive connection is closed after idleTimeout. There is deliberately
+// no write timeout: a synchronous solve or an /events stream may run for
+// minutes, and the read deadline is lifted once the request has been read.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // ServeOptions configures the telemetry handler. Every field is optional:
@@ -216,7 +230,12 @@ func ServeHandler(addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() {
 		// ErrServerClosed on Close is the expected shutdown path; any other
 		// serve error has no caller left to report to.

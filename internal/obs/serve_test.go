@@ -2,11 +2,14 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func telemetryGet(t *testing.T, h http.Handler, path string) (*http.Response, string) {
@@ -178,5 +181,57 @@ func TestServeBindsAndServes(t *testing.T) {
 func TestServeBadAddr(t *testing.T) {
 	if _, err := Serve("256.256.256.256:99999", ServeOptions{}); err == nil {
 		t.Error("no error for an unbindable address")
+	}
+}
+
+// TestServeDropsSlowlorisClient trickles header lines to a live server one
+// every 250 ms and never finishes them: the server must hang up once
+// readHeaderTimeout has passed, while a normal request on another connection
+// is still served.
+func TestServeDropsSlowlorisClient(t *testing.T) {
+	t.Parallel()
+	srv, err := Serve("127.0.0.1:0", ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	closed := make(chan time.Duration, 1)
+	go func() {
+		// The server never answers a request it has not finished reading,
+		// so the first read returns only when it closes the connection.
+		io.Copy(io.Discard, conn)
+		closed <- time.Since(start)
+	}()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	tick := time.NewTicker(250 * time.Millisecond)
+	defer tick.Stop()
+	limit := time.After(readHeaderTimeout + 5*time.Second)
+	for i := 0; ; i++ {
+		select {
+		case d := <-closed:
+			if d < readHeaderTimeout-time.Second {
+				t.Errorf("connection closed after %v, before the %v header timeout", d, readHeaderTimeout)
+			}
+			if res, err := http.Get("http://" + srv.Addr + "/healthz"); err != nil || res.StatusCode != 200 {
+				t.Errorf("well-behaved client refused after the slowloris cut: %v", err)
+			} else {
+				res.Body.Close()
+			}
+			return
+		case <-tick.C:
+			// Write errors are expected once the server has hung up.
+			fmt.Fprintf(conn, "X-Trickle-%d: 1\r\n", i)
+		case <-limit:
+			t.Fatalf("slowloris client still connected after %v", time.Since(start))
+		}
 	}
 }
