@@ -67,14 +67,17 @@ corebench:
 corebench-check:
 	$(GO) run ./cmd/corebench -check -baseline BENCH_core.json -tolerance 0.15 -o BENCH_core_fresh.json
 
-# fuzz is a bounded smoke run of the two attacker-facing parsers: the
+# fuzz is a bounded smoke run of the two attacker-facing parsers — the
 # checkpoint decoder (torn/bit-rotted resume streams) and the /v1/schedule
 # request decoder (malformed JSON, NaN/Inf coordinates, negative radii —
-# must 400, never panic). 30 seconds each shakes out shallow parser panics
-# without stalling CI. Raise -fuzztime locally when hunting a specific bug.
+# must 400, never panic) — plus the compiled local weight kernel against
+# System.Weight (random push/pop sequences, down readers, survey-style
+# conflict matrices). 30 seconds each shakes out shallow bugs without
+# stalling CI. Raise -fuzztime locally when hunting a specific bug.
 fuzz:
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzDecodeScheduleRequest -fuzztime=30s ./internal/serve
+	$(GO) test -fuzz=FuzzLocalWeight -fuzztime=30s ./internal/model
 
 # lint runs the static analyzers CI enforces. Neither tool ships with the
 # toolchain; install them once with:

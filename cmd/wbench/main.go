@@ -2,8 +2,8 @@
 // times the hottest operations of the repository — Weight, MarginalWeight /
 // MarginalGain, the branch-and-bound mwfs.Solve, and a full greedy-MCS
 // schedule — at several (readers, tags) scales, on both the brute-force
-// path and the incremental WeightEval path, and archives the numbers as
-// JSON (BENCH_weight.json).
+// path and the incremental path (WeightEval; the compiled local kernel
+// inside mwfs.Solve), and archives the numbers as JSON (BENCH_weight.json).
 //
 // Because absolute ns/op depends on the machine, the CI gate tracks the
 // *speedup ratios* (brute ns / incremental ns), which are measured in the

@@ -179,13 +179,6 @@ func (d *Distributed) OneShot(sys *model.System) ([]int, error) {
 		}
 		nodes[id] = &states[id]
 	}
-	defer func() {
-		for i := range states {
-			if states[i].sys != nil {
-				states[i].sys.Release()
-			}
-		}
-	}()
 	net := distnet.NewNetwork(d.G)
 	if err := d.attachFaults(net); err != nil {
 		return nil, err
@@ -271,8 +264,7 @@ type resultMsg struct {
 type alg3Node struct {
 	id          int
 	g           *graph.Graph
-	base        *model.System
-	sys         *model.System // private weight oracle, cloned on first use as head
+	base        *model.System // read-only: heads solve on it concurrently
 	self        *infoRec
 	rho         float64
 	c           int
@@ -411,10 +403,7 @@ func (nd *alg3Node) isHead() bool {
 // rows built out of the adjacency records this head collected by flooding —
 // no global graph knowledge.
 func (nd *alg3Node) computeResult() *resultMsg {
-	if nd.sys == nil {
-		nd.sys = nd.base.ClonePooled()
-	}
-	n := nd.sys.NumReaders()
+	n := nd.base.NumReaders()
 	var committed []int
 	for v := 0; v < n; v++ {
 		if nd.knownRed.has(v) {
@@ -427,11 +416,11 @@ func (nd *alg3Node) computeResult() *resultMsg {
 		byID[rec.Origin] = rec
 	}
 
-	cur := mwfs.Solve(nd.sys, []int{nd.id}, opts)
+	cur := mwfs.Solve(nd.base, []int{nd.id}, opts)
 	r := 0
 	for r < nd.c {
 		ball := nd.localBall(byID, r+1)
-		next := mwfs.Solve(nd.sys, ball, opts)
+		next := mwfs.Solve(nd.base, ball, opts)
 		if float64(next.Weight) < nd.rho*float64(cur.Weight) {
 			break
 		}

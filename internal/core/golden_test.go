@@ -12,6 +12,7 @@ import (
 	"rfidsched/internal/graph"
 	"rfidsched/internal/model"
 	"rfidsched/internal/randx"
+	"rfidsched/internal/survey"
 )
 
 // Behaviour lock for the three paper algorithms: the SHA-256 of every slot's
@@ -33,6 +34,8 @@ var goldenSchedules = map[string]goldenMCS{
 	"heterogeneous/alg1": {digest: "962df17455887f29f4537df0bbfa208b6c566e7c007d32eb11f36cf6942f18d6"},
 	"heterogeneous/alg2": {digest: "f62f08dbe98aeaa6187583a2f18d9df31c0cba4e76ecb9e3fb201cdeef17dead"},
 	"heterogeneous/alg3": {digest: "61df7ffe40dbed88bdf08b10c5d721892cf1c0376506896979e5e944f76070ea", rounds: 2093, messages: 113335},
+	"survey/alg2":        {digest: "f28dcabc523ca349bb28767f6ef5e524d0050b6cd714a2e859353b7207f12a07"},
+	"downmask/alg1":      {digest: "332b75fba7a507c7186d13d8ad589f360e019796951175b4b92253b0396cc842"},
 }
 
 // goldenUniform is a dense uniform deployment whose interrogation radii
@@ -104,6 +107,31 @@ func scheduleDigest(res *MCSResult) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// goldenRun runs one covering schedule and returns its lock entry.
+func goldenRun(t *testing.T, key string, sys *model.System, g *graph.Graph, alg string, workers int) goldenMCS {
+	t.Helper()
+	var sched model.OneShotScheduler
+	var alg3 *countingDistributed
+	switch alg {
+	case "alg1":
+		sched = NewPTAS()
+	case "alg2":
+		sched = NewGrowth(g, 1.25)
+	case "alg3":
+		alg3 = &countingDistributed{Distributed: NewDistributed(g, 1.25)}
+		sched = alg3
+	}
+	res, err := RunMCS(sys, sched, MCSOptions{RecordSlots: true, SolverWorkers: workers})
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", key, workers, err)
+	}
+	got := goldenMCS{digest: scheduleDigest(res)}
+	if alg3 != nil {
+		got.rounds, got.messages = alg3.rounds, alg3.messages
+	}
+	return got
+}
+
 func TestGoldenSchedules(t *testing.T) {
 	deployments := []struct {
 		name  string
@@ -118,31 +146,50 @@ func TestGoldenSchedules(t *testing.T) {
 			want := goldenSchedules[key]
 			for _, workers := range []int{1, 2} {
 				sys := dep.build(t)
-				g := graph.FromSystem(sys)
-				var sched model.OneShotScheduler
-				var alg3 *countingDistributed
-				switch alg {
-				case "alg1":
-					sched = NewPTAS()
-				case "alg2":
-					sched = NewGrowth(g, 1.25)
-				case "alg3":
-					alg3 = &countingDistributed{Distributed: NewDistributed(g, 1.25)}
-					sched = alg3
-				}
-				res, err := RunMCS(sys, sched, MCSOptions{RecordSlots: true, SolverWorkers: workers})
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", key, workers, err)
-				}
-				got := goldenMCS{digest: scheduleDigest(res)}
-				if alg3 != nil {
-					got.rounds, got.messages = alg3.rounds, alg3.messages
-				}
+				got := goldenRun(t, key, sys, graph.FromSystem(sys), alg, workers)
 				if got != want {
-					t.Errorf("%s workers=%d: got {digest: %q, rounds: %d, messages: %d}, want %+v (%d slots)",
-						key, workers, got.digest, got.rounds, got.messages, want, res.Size)
+					t.Errorf("%s workers=%d: got {digest: %q, rounds: %d, messages: %d}, want %+v",
+						key, workers, got.digest, got.rounds, got.messages, want)
 				}
 			}
+		}
+	}
+}
+
+// TestGoldenSurveyGrowth locks Alg. 2 on a survey-estimated interference
+// graph that misses real edges: Growth judges feasibility from the graph
+// alone, so its balls activate readers that interfere in the geometry and
+// the local weight must charge the resulting collisions.
+func TestGoldenSurveyGrowth(t *testing.T) {
+	const key = "survey/alg2"
+	for _, workers := range []int{1, 2} {
+		sys := goldenUniform(t)
+		g, rep, err := survey.EstimateGraph(sys, survey.Params{ShadowSigma: 6, Samples: 2, Seed: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.FalseNegative == 0 {
+			t.Fatalf("survey graph misses no real edge: %+v", rep)
+		}
+		if got, want := goldenRun(t, key, sys, g, "alg2", workers), goldenSchedules[key]; got != want {
+			t.Errorf("%s workers=%d: got digest %q, want %q", key, workers, got.digest, want.digest)
+		}
+	}
+}
+
+// TestGoldenDownMask locks Alg. 1 with a fixed set of failed readers: the
+// local solves must treat a down reader as covering and interfering with
+// nothing, and the run must end once every tag a live reader covers is read.
+func TestGoldenDownMask(t *testing.T) {
+	const key = "downmask/alg1"
+	for _, workers := range []int{1, 2} {
+		sys := goldenHeterogeneous(t)
+		for v := 0; v < sys.NumReaders(); v += 4 {
+			sys.SetReaderDown(v, true)
+		}
+		g := graph.FromSystem(sys)
+		if got, want := goldenRun(t, key, sys, g, "alg1", workers), goldenSchedules[key]; got != want {
+			t.Errorf("%s workers=%d: got digest %q, want %q", key, workers, got.digest, want.digest)
 		}
 	}
 }

@@ -42,9 +42,10 @@ import (
 // Every relation is CSR (see csr.go); rows are ascending, matching the
 // historical [][]int32 layout element for element.
 //
-// The cache also owns the scratch pools (clonePool, evalPool): pooling per
-// geometry guarantees a recycled clone or evaluator always matches the
-// reader/tag counts of the System it is reattached to. See pool.go.
+// The cache also owns the scratch pools (clonePool, evalPool, localPool):
+// pooling per geometry guarantees a recycled clone, evaluator or local
+// kernel always matches the reader/tag counts of the System it is
+// reattached to. See pool.go and local.go.
 type adjCache struct {
 	interOnce sync.Once
 	interOut  csr // interOut.row(u): v != u with reader u's interference disk containing v
@@ -71,6 +72,7 @@ type adjCache struct {
 
 	clonePool sync.Pool // *System clones of this geometry (pool.go)
 	evalPool  sync.Pool // *WeightEval sized for this geometry (pool.go)
+	localPool sync.Pool // *LocalKernel sized for this geometry (local.go)
 }
 
 // Adjacency-construction strategy cutoffs. Below adjBruteReaders the O(n²)
@@ -403,10 +405,10 @@ func (s *System) CouplingNeighbors(v int) []int32 {
 
 // WeightEval incrementally evaluates w(X) for a dynamically maintained
 // activation set X over a System. Construct with NewWeightEval, mutate the
-// set with Add/Remove (or Snapshot/Restore for backtracking search), and
-// read Weight()/MarginalGain(v) in O(1)/O(Δ). The evaluator observes the
-// System's MarkRead/ResetReads/SetReaderDown transitions automatically; call
-// Close when done so the System stops notifying it.
+// set with Add/Remove, and read Weight()/MarginalGain(v) in O(1)/O(Δ). The
+// evaluator observes the System's MarkRead/ResetReads/SetReaderDown
+// transitions automatically; call Close when done so the System stops
+// notifying it.
 //
 // Like the System itself, a WeightEval is not safe for concurrent use.
 type WeightEval struct {
@@ -428,9 +430,6 @@ type WeightEval struct {
 	// pooled marks an evaluator from NewPooledWeightEval; Close recycles it
 	// into its geometry's evalPool (see pool.go).
 	pooled bool
-
-	snaps   [][]int
-	scratch []bool
 
 	closed bool
 }
@@ -542,51 +541,11 @@ func (e *WeightEval) MarginalGain(v int) int {
 	return g
 }
 
-// Snapshot pushes a copy of the current activation set onto the restore
-// stack and returns the new stack depth. Only set membership is captured:
-// read flags and the down mask belong to the System and flow through the
-// observer hooks regardless of snapshots.
-func (e *WeightEval) Snapshot() int {
-	e.snaps = append(e.snaps, append([]int(nil), e.activeList...))
-	return len(e.snaps)
-}
-
-// Restore pops the most recent snapshot and patches the activation set back
-// to it by diffing (removals first, then additions), so the cost is
-// proportional to the drift since Snapshot, not to |X|. Returns false if the
-// stack is empty.
-func (e *WeightEval) Restore() bool {
-	if len(e.snaps) == 0 {
-		return false
-	}
-	want := e.snaps[len(e.snaps)-1]
-	e.snaps = e.snaps[:len(e.snaps)-1]
-	if e.scratch == nil {
-		e.scratch = make([]bool, len(e.active))
-	}
-	for _, v := range want {
-		e.scratch[v] = true
-	}
-	for i := len(e.activeList) - 1; i >= 0; i-- {
-		if v := e.activeList[i]; !e.scratch[v] {
-			e.Remove(v)
-		}
-	}
-	for _, v := range want {
-		if !e.active[v] {
-			e.Add(v)
-		}
-		e.scratch[v] = false
-	}
-	return true
-}
-
-// Reset empties the activation set and the snapshot stack.
+// Reset empties the activation set.
 func (e *WeightEval) Reset() {
 	for len(e.activeList) > 0 {
 		e.Remove(e.activeList[len(e.activeList)-1])
 	}
-	e.snaps = e.snaps[:0]
 }
 
 // addEffective folds an active, live reader v into the counters. The order

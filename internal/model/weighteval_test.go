@@ -8,7 +8,7 @@ import (
 
 // Differential tests: WeightEval must agree bit-for-bit with the brute-force
 // weightAndCovered on every reachable state — arbitrary activation sets,
-// read churn, fault masks, resets, and snapshot/restore backtracking.
+// read churn, fault masks and resets.
 
 // evalActive returns the evaluator's current set as a sorted []int.
 func evalActive(e *WeightEval) []int { return e.AppendActive(nil) }
@@ -29,7 +29,7 @@ func checkAgainstBrute(t *testing.T, sys *System, e *WeightEval, probe int, ctx 
 }
 
 // TestWeightEvalDifferentialRandomOps drives 1k random operation sequences —
-// Add, Remove, MarkRead, SetReaderDown/up, ResetReads, Snapshot, Restore —
+// Add, Remove, MarkRead, SetReaderDown/up, ResetReads —
 // against randomized deployments and asserts the evaluator never diverges
 // from the brute force after any single operation.
 func TestWeightEvalDifferentialRandomOps(t *testing.T) {
@@ -42,29 +42,18 @@ func TestWeightEvalDifferentialRandomOps(t *testing.T) {
 		sys := genSystem(seed, n, m)
 		e := NewWeightEval(sys)
 
-		snapDepth := 0
 		ops := 12 + rng.Intn(20)
 		for op := 0; op < ops; op++ {
 			switch k := rng.Intn(10); {
 			case k < 4: // Add (biased: sets should grow)
 				e.Add(rng.Intn(n))
-			case k < 5:
+			case k < 6:
 				e.Remove(rng.Intn(n))
-			case k < 7:
-				sys.MarkRead(rng.Intn(m))
 			case k < 8:
+				sys.MarkRead(rng.Intn(m))
+			case k < 9:
 				v := rng.Intn(n)
 				sys.SetReaderDown(v, !sys.ReaderDown(v))
-			case k < 9:
-				if rng.Bool(0.5) || snapDepth == 0 {
-					e.Snapshot()
-					snapDepth++
-				} else {
-					if !e.Restore() {
-						t.Fatalf("seq %d: Restore failed at depth %d", seq, snapDepth)
-					}
-					snapDepth--
-				}
 			default:
 				if rng.Bool(0.1) {
 					sys.ResetReads()
@@ -72,53 +61,6 @@ func TestWeightEvalDifferentialRandomOps(t *testing.T) {
 			}
 			checkAgainstBrute(t, sys, e, rng.Intn(n), "random-ops")
 		}
-		e.Close()
-	}
-}
-
-// TestWeightEvalSnapshotRestoreChurn interleaves MarkRead/SetReaderDown
-// churn with snapshot/restore backtracking: Restore must return exactly to
-// the snapshotted set while the weight reflects the *current* read/down
-// state, matching the brute force recomputed from scratch.
-func TestWeightEvalSnapshotRestoreChurn(t *testing.T) {
-	for trial := 0; trial < 200; trial++ {
-		seed := uint64(9100 + trial)
-		rng := randx.New(seed)
-		sys := genSystem(seed, 10, 60)
-		e := NewWeightEval(sys)
-		for _, v := range genSet(sys, seed) {
-			e.Add(v)
-		}
-
-		before := evalActive(e)
-		e.Snapshot()
-		// Drift: mutate the set and churn system state.
-		for i := 0; i < 8; i++ {
-			switch rng.Intn(4) {
-			case 0:
-				e.Add(rng.Intn(sys.NumReaders()))
-			case 1:
-				e.Remove(rng.Intn(sys.NumReaders()))
-			case 2:
-				sys.MarkRead(rng.Intn(sys.NumTags()))
-			case 3:
-				v := rng.Intn(sys.NumReaders())
-				sys.SetReaderDown(v, !sys.ReaderDown(v))
-			}
-		}
-		if !e.Restore() {
-			t.Fatal("Restore failed")
-		}
-		after := evalActive(e)
-		if len(after) != len(before) {
-			t.Fatalf("trial %d: restore drifted: before=%v after=%v", trial, before, after)
-		}
-		for i := range after {
-			if after[i] != before[i] {
-				t.Fatalf("trial %d: restore drifted: before=%v after=%v", trial, before, after)
-			}
-		}
-		checkAgainstBrute(t, sys, e, rng.Intn(sys.NumReaders()), "post-restore")
 		e.Close()
 	}
 }
@@ -189,13 +131,9 @@ func TestWeightEvalResetAndReuse(t *testing.T) {
 	for _, v := range genSet(sys, 77) {
 		e.Add(v)
 	}
-	e.Snapshot()
 	e.Reset()
 	if e.Weight() != 0 || e.Len() != 0 {
 		t.Fatalf("Reset left weight=%d len=%d", e.Weight(), e.Len())
-	}
-	if e.Restore() {
-		t.Fatal("Restore succeeded on emptied snapshot stack")
 	}
 	for _, v := range genSet(sys, 78) {
 		e.Add(v)

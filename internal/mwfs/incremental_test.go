@@ -124,3 +124,21 @@ func TestSolveContextCandidateOverlap(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveAllocsWarm holds a warm local solve — a 7-reader ball with a
+// 2-reader context, the shape of an Alg. 2 growth step — to a fixed
+// allocation budget: the compiled kernel and its evaluator come from the
+// geometry's pool, so only the search's own state and the result allocate.
+func TestSolveAllocsWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	sys := randomSystem(t, 21, 30, 400)
+	sys.WarmAdjacency()
+	cands := []int{3, 5, 8, 11, 14, 17, 20}
+	opts := Options{Context: []int{1, 25}}
+	Solve(sys, cands, opts)
+	if a := testing.AllocsPerRun(200, func() { Solve(sys, cands, opts) }); a > 8 {
+		t.Errorf("warm Solve allocates %v per call, want <= 8", a)
+	}
+}

@@ -19,6 +19,7 @@ package mwfs
 
 import (
 	"fmt"
+	"slices"
 
 	"rfidsched/internal/model"
 	"rfidsched/internal/parsearch"
@@ -33,10 +34,10 @@ type Options struct {
 
 	// Workers selects the search engine: values below 2 run the sequential
 	// reference path (kept for differential tests), higher values fan the
-	// branch-and-bound over a worker pool where every worker owns a System
-	// clone and incremental evaluator (see parallel.go). For any Workers
-	// value an untruncated search returns a bit-identical Result.Set and
-	// Weight — the deterministic-merge argument is in DESIGN.md §11 — while
+	// branch-and-bound over a worker pool where every worker owns an
+	// evaluator over the shared compiled kernel (see parallel.go). For any
+	// Workers value an untruncated search returns a bit-identical Result.Set
+	// and Weight — the deterministic-merge argument is in DESIGN.md §11 — while
 	// Result.Nodes may differ (stale incumbent reads change how much is
 	// pruned, never what is returned). When MaxNodes truncates the search,
 	// the anytime best may legitimately differ across worker counts; the
@@ -66,9 +67,9 @@ type Options struct {
 	// is meaningless), and duplicate entries are ignored.
 	Context []int
 
-	// BruteForce disables the incremental weight evaluator and scores every
-	// search node with a full System.Weight recompute — the pre-evaluator
-	// behavior, kept for differential tests and the wbench regression
+	// BruteForce scores every search node with a full System.Weight
+	// recompute instead of the compiled local kernel's incremental
+	// evaluator — kept for differential tests and the wbench regression
 	// baseline. Results are identical either way; only the cost differs.
 	BruteForce bool
 
@@ -95,123 +96,98 @@ type Result struct {
 const defaultMaxNodes = 4 << 20
 
 // Solve returns a maximum-weight feasible subset of candidates for the
-// current unread-tag state of sys. The candidates slice is not mutated.
+// current unread-tag state of sys. The candidates slice is not mutated, and
+// sys is only read (except by BruteForce, which uses its Weight scratch), so
+// solves on one System may run concurrently.
 func Solve(sys *model.System, candidates []int, opts Options) Result {
 	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 {
 		maxNodes = defaultMaxNodes
 	}
-
-	// Order by singleton weight, heaviest first: good solutions early make
-	// the bound bite. Candidates already committed in the context cannot
-	// contribute (activating a reader twice is not a thing) and are dropped.
-	inCtx := make(map[int]bool, len(opts.Context))
-	for _, c := range opts.Context {
-		inCtx[c] = true
-	}
-	cand := make([]int, 0, len(candidates))
-	for _, v := range candidates {
-		if v >= 0 && v < sys.NumReaders() && !inCtx[v] {
-			cand = append(cand, v)
-		}
-	}
-	single := make(map[int]int, len(cand))
-	for _, v := range cand {
-		single[v] = sys.SingletonWeight(v)
-	}
-	insertionSortBy(cand, func(a, b int) bool {
-		if single[a] != single[b] {
-			return single[a] > single[b]
-		}
-		return a < b
-	})
-
-	// suffix[i] = sum of singleton weights of cand[i:]; upper bound on any
-	// weight still obtainable from the remaining candidates.
-	suffix := make([]int, len(cand)+1)
-	for i := len(cand) - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1] + single[cand[i]]
-	}
-
 	conf, confW := conflictMatrix(sys, opts.Conflicts)
+
+	// The compiled local kernel drops candidates already committed in the
+	// context (activating a reader twice is not a thing), orders the rest by
+	// singleton weight, heaviest first — good solutions early make the bound
+	// bite — and evaluates w(cur ∪ ctx) incrementally as the search pushes
+	// and pops readers (DESIGN.md §10).
+	k := model.CompileLocal(sys, opts.Context, candidates, conf, confW)
+	defer k.Release()
+	sr := searchRange{conf: conf, confW: confW, cand: k.Candidates(), loc: k.LocalIDs(), suffix: k.Suffix()}
+	n := len(sr.cand)
 
 	// Parallel engine: only when a real pool was requested and the frontier
 	// split leaves the workers non-trivial subtrees to chew on. A candidate
 	// list no deeper than the split depth would put the whole tree inside
 	// the (sequential) frontier expansion anyway.
 	if workers := parsearch.Normalize(opts.Workers); workers >= 2 {
-		if d := frontierDepth(len(cand), workers); len(cand) > d {
-			return solveParallel(sys, cand, suffix, conf, confW, opts, maxNodes, workers, d)
+		if d := frontierDepth(n, workers); n > d {
+			return solveParallel(sys, k, sr, opts, maxNodes, workers, d)
 		}
 	}
 
+	buf := make([]int, 2*n)
 	s := &solver{
-		sys:      sys,
-		conf:     conf,
-		confW:    confW,
-		curBits:  make([]uint64, confW),
-		cand:     cand,
-		suffix:   suffix,
-		maxNodes: maxNodes,
-		exact:    true,
-		ctx:      opts.Context,
-		dl:       opts.Deadline,
+		searchRange: sr,
+		curBits:     make([]uint64, confW),
+		cur:         buf[:0:n],
+		best:        buf[n:n], // empty set, marginal weight 0
+		maxNodes:    maxNodes,
+		exact:       true,
+		dl:          opts.Deadline,
 	}
 	if opts.BruteForce {
-		s.ctxW = sys.Weight(opts.Context)
+		s.brute = newBrute(sys, k)
+		s.ctxW = s.brute.ctxW
 	} else {
-		// Incremental path: hold cur ∪ ctx in a WeightEval so each
-		// include/backtrack is an O(Δ) push/pop instead of a full recompute
-		// per node. Weights are bit-identical to the brute force
-		// (differentially tested), so the search — and thus Result — is too.
-		// The evaluator is pool-recycled: local MWFS runs once per ball per
-		// slot, and its counter slices dominate the per-call footprint.
-		s.eval = model.NewPooledWeightEval(sys)
-		defer s.eval.Close()
-		for _, c := range opts.Context {
-			s.eval.Add(c)
-		}
+		s.eval = k.Evals(1)[0]
 		s.ctxW = s.eval.Weight()
 	}
-	s.best = append([]int(nil), s.cur...) // empty set, marginal weight 0
 	s.rec(0, 0)
 
 	set := append([]int(nil), s.best...)
-	insertionSortBy(set, func(a, b int) bool { return a < b })
+	slices.Sort(set)
 	return Result{Set: set, Weight: s.bestW, Exact: s.exact, TimedOut: s.timedOut, Nodes: s.nodes}
 }
 
 type solver struct {
-	sys      *model.System
-	eval     *model.WeightEval // nil on the brute-force path
-	conf     []uint64          // conflict matrix (see conflictMatrix)
-	confW    int
-	curBits  []uint64 // bitset mirror of cur, maintained by rec
-	cand     []int
-	suffix   []int
+	searchRange
+	eval     *model.LocalEval // nil on the brute-force path
+	brute    *brute           // nil on the kernel path
+	curBits  []uint64         // bitset mirror of cur, maintained by rec
 	cur      []int
-	curW     int
 	best     []int
 	bestW    int
 	nodes    int
 	maxNodes int
 	exact    bool
 	timedOut bool
-	ctx      []int
 	ctxW     int
 	dl       *parsearch.Deadline
-	scratch  []int
 }
 
-// marginal returns w(cur ∪ ctx) - w(ctx) for the current partial set.
-func (s *solver) marginal() int {
-	if len(s.ctx) == 0 {
-		return s.sys.Weight(s.cur)
+// brute scores search nodes with a full System.Weight recompute
+// (Options.BruteForce).
+type brute struct {
+	sys     *model.System
+	ctx     []int // the deduplicated context
+	ctxW    int
+	scratch []int
+}
+
+func newBrute(sys *model.System, k *model.LocalKernel) *brute {
+	b := &brute{sys: sys}
+	for _, c := range k.Context() {
+		b.ctx = append(b.ctx, int(c))
 	}
-	s.scratch = s.scratch[:0]
-	s.scratch = append(s.scratch, s.cur...)
-	s.scratch = append(s.scratch, s.ctx...)
-	return s.sys.Weight(s.scratch) - s.ctxW
+	b.ctxW = sys.Weight(b.ctx)
+	return b
+}
+
+// marginal returns w(cur ∪ ctx) - w(ctx).
+func (b *brute) marginal(cur []int) int {
+	b.scratch = append(append(b.scratch[:0], cur...), b.ctx...)
+	return b.sys.Weight(b.scratch) - b.ctxW
 }
 
 func (s *solver) rec(i, curW int) {
@@ -250,11 +226,10 @@ func (s *solver) rec(i, curW int) {
 		s.cur = append(s.cur, v)
 		s.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
 		if s.eval != nil {
-			s.eval.Add(v)
-			s.rec(i+1, s.eval.Weight()-s.ctxW)
-			s.eval.Remove(v)
+			s.rec(i+1, s.eval.Push(s.loc[i])-s.ctxW)
+			s.eval.Pop()
 		} else {
-			s.rec(i+1, s.marginal())
+			s.rec(i+1, s.brute.marginal(s.cur))
 		}
 		s.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 		s.cur = s.cur[:len(s.cur)-1]
@@ -289,15 +264,4 @@ func feasibleBits(conf []uint64, confW, v int, curBits []uint64) bool {
 		}
 	}
 	return true
-}
-
-// insertionSortBy sorts a small slice in place with the given less func;
-// candidate lists here are tiny (<= number of readers), so this beats the
-// interface overhead of sort.Slice on the hot local-MWFS path.
-func insertionSortBy(a []int, less func(x, y int) bool) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && less(a[j], a[j-1]); j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }

@@ -11,9 +11,9 @@ package mwfs
 //     during expansion (their partial set is a candidate answer), and
 //   - task items: subtree roots at depth d, handed to the worker pool.
 //
-// Workers solve subtrees on private System clones (each with its own
-// incremental WeightEval), sharing only two atomics: the incumbent bound and
-// the global node budget. The incumbent is monotone, so stale reads weaken
+// Workers solve subtrees on private evaluators over the one compiled local
+// kernel (which is immutable), sharing only two atomics: the incumbent bound
+// and the global node budget. The incumbent is monotone, so stale reads weaken
 // pruning but never soundness; workers prune strictly BELOW it (ub <
 // incumbent) — never at equality — because a tie found in an earlier merge
 // item must remain discoverable everywhere for the tie-break to match the
@@ -47,10 +47,11 @@ func frontierDepth(candLen, workers int) int {
 	return d
 }
 
-// task is one frontier subtree root: the include-prefix over cand[0:depth]
-// and its (marginal) weight, emitted in global DFS pre-order.
+// task is one frontier subtree root: the include-prefix over cand[0:depth],
+// as candidate positions, and its (marginal) weight, emitted in global DFS
+// pre-order.
 type task struct {
-	prefix []int
+	prefix []int32
 	w      int
 }
 
@@ -74,37 +75,27 @@ type taskResult struct {
 	truncated bool
 }
 
-func solveParallel(sys *model.System, cand, suffix []int, conf []uint64, confW int, opts Options, maxNodes, workers, depth int) Result {
+func solveParallel(sys *model.System, k *model.LocalKernel, sr searchRange, opts Options, maxNodes, workers, depth int) Result {
 	// The deadline rides the budget: Reserve polls it once per chunk, so
 	// expiry drains every worker through the same monotone "grant = 0"
 	// transition as node exhaustion (anytime contract, DESIGN.md §12).
 	budget := parsearch.NewBudget(maxNodes).WithDeadline(opts.Deadline)
 
-	// Phase 1: sequential frontier expansion on the caller's goroutine.
-	x := &expander{
-		sys:     sys,
-		conf:    conf,
-		confW:   confW,
-		curBits: make([]uint64, confW),
-		cand:    cand,
-		suffix:  suffix,
-		depth:   depth,
-		ctx:     opts.Context,
-		budget:  budget,
-	}
+	// Phase 1: sequential frontier expansion on the caller's goroutine. The
+	// expansion and every worker get an evaluator over the shared kernel;
+	// the brute-force path scores with System.Weight instead, on a private
+	// clone per worker (Weight uses System scratch).
+	x := &expander{searchRange: sr, curBits: make([]uint64, sr.confW), depth: depth, budget: budget}
+	var evals []*model.LocalEval
+	var b *brute
 	if opts.BruteForce {
-		x.ctxW = sys.Weight(opts.Context)
+		b = newBrute(sys, k)
+		x.brute, x.ctxW = b, b.ctxW
 	} else {
-		x.eval = model.NewPooledWeightEval(sys)
-		for _, c := range opts.Context {
-			x.eval.Add(c)
-		}
-		x.ctxW = x.eval.Weight()
+		evals = k.Evals(workers + 1)
+		x.eval, x.ctxW = evals[0], evals[0].Weight()
 	}
 	x.expand(0, 0)
-	if x.eval != nil {
-		x.eval.Close()
-	}
 
 	// Phase 2: subtree solves on the pool. The incumbent starts at the
 	// expansion-time best — every weight it will ever hold has been achieved
@@ -115,15 +106,32 @@ func solveParallel(sys *model.System, cand, suffix []int, conf []uint64, confW i
 	parsearch.ForEach(workers, len(x.tasks), func(worker, ti int) {
 		ps := solvers[worker]
 		if ps == nil {
-			ps = newPSolver(sys, cand, suffix, conf, confW, opts, depth, incumbent, budget)
+			// Per-worker scratch is allocated at cache-line size or more,
+			// so two workers' hot words never share a line.
+			ps = &psolver{
+				searchRange: sr,
+				curBits:     make([]uint64, sr.confW, max(sr.confW, 8)),
+				cur:         make([]int, 0, max(len(sr.cand), 8)),
+				best:        make([]int, 0, max(len(sr.cand), 8)),
+				depth:       depth,
+				incumbent:   incumbent,
+				budget:      budget,
+			}
+			if b != nil {
+				ps.brute = &brute{sys: sys.ClonePooled(), ctx: b.ctx, ctxW: b.ctxW}
+				ps.ctxW = b.ctxW
+			} else {
+				ps.eval = evals[worker+1]
+				ps.ctxW = ps.eval.Weight()
+			}
 			solvers[worker] = ps
 		}
 		results[ti] = ps.solveTask(x.tasks[ti])
 		parsearch.RecordSubtreeNodes(results[ti].nodes)
 	})
 	for _, ps := range solvers {
-		if ps != nil {
-			ps.close()
+		if ps != nil && ps.brute != nil {
+			ps.brute.sys.Release()
 		}
 	}
 
@@ -152,36 +160,43 @@ func solveParallel(sys *model.System, cand, suffix []int, conf []uint64, confW i
 	return Result{Set: set, Weight: bestW, Exact: !truncated, TimedOut: budget.TimedOut(), Nodes: nodes}
 }
 
+// searchRange is the read-only search input every engine shares: the
+// conflict matrix and the kernel's ordered candidates, their kernel reader
+// indices and the suffix bound table.
+type searchRange struct {
+	conf   []uint64 // conflict matrix (see conflictMatrix)
+	confW  int
+	cand   []int
+	loc    []int32
+	suffix []int
+}
+
 // expander runs the depth-limited sequential DFS that builds the merge-item
 // sequence. It mirrors solver.rec exactly on internal nodes; at the split
 // depth it emits a task instead of recursing.
 type expander struct {
-	sys     *model.System
-	eval    *model.WeightEval // nil on the brute-force path
-	conf    []uint64          // conflict matrix (see conflictMatrix)
-	confW   int
+	searchRange
+	eval    *model.LocalEval // nil on the brute-force path
+	brute   *brute           // nil on the kernel path
 	curBits []uint64
-	cand    []int
-	suffix  []int
 	depth   int
-	ctx     []int
 	ctxW    int
 	budget  *parsearch.Budget
 
 	cur       []int
+	path      []int32 // candidate positions of cur
 	bestW     int
 	nodes     int
 	grant     int
 	truncated bool
 	items     []mergeItem
 	tasks     []task
-	scratch   []int
 }
 
 func (x *expander) expand(i, curW int) {
 	if i == x.depth {
 		x.items = append(x.items, mergeItem{taskIdx: len(x.tasks)})
-		x.tasks = append(x.tasks, task{prefix: append([]int(nil), x.cur...), w: curW})
+		x.tasks = append(x.tasks, task{prefix: append([]int32(nil), x.path...), w: curW})
 		return
 	}
 	if x.grant == 0 {
@@ -206,39 +221,29 @@ func (x *expander) expand(i, curW int) {
 	v := x.cand[i]
 	if feasibleBits(x.conf, x.confW, v, x.curBits) {
 		x.cur = append(x.cur, v)
+		x.path = append(x.path, int32(i))
 		x.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
 		if x.eval != nil {
-			x.eval.Add(v)
-			x.expand(i+1, x.eval.Weight()-x.ctxW)
-			x.eval.Remove(v)
+			x.expand(i+1, x.eval.Push(x.loc[i])-x.ctxW)
+			x.eval.Pop()
 		} else {
-			x.expand(i+1, x.marginal())
+			x.expand(i+1, x.brute.marginal(x.cur))
 		}
 		x.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 		x.cur = x.cur[:len(x.cur)-1]
+		x.path = x.path[:len(x.path)-1]
 	}
 	x.expand(i+1, curW)
 }
 
-func (x *expander) marginal() int {
-	x.scratch = x.scratch[:0]
-	x.scratch = append(x.scratch, x.cur...)
-	x.scratch = append(x.scratch, x.ctx...)
-	return x.sys.Weight(x.scratch) - x.ctxW
-}
-
-// psolver is one worker's private search state: a System clone (scratch
-// buffers and evaluator attachment are per-clone, so workers never touch
-// shared mutable memory) plus the chunked view of the global node budget.
+// psolver is one worker's private search state: its own evaluator over the
+// shared kernel (or, brute force, a pooled System clone for Weight's
+// scratch) plus the chunked view of the global node budget.
 type psolver struct {
-	sys       *model.System
-	eval      *model.WeightEval // nil on the brute-force path
-	conf      []uint64          // conflict matrix (see conflictMatrix)
-	confW     int
+	searchRange
+	eval      *model.LocalEval // nil on the brute-force path
+	brute     *brute           // nil on the kernel path; owns a pooled clone
 	curBits   []uint64
-	cand      []int
-	suffix    []int
-	ctx       []int
 	ctxW      int
 	depth     int
 	incumbent *parsearch.Incumbent
@@ -251,42 +256,6 @@ type psolver struct {
 	nodes     int
 	grant     int
 	truncated bool
-	scratch   []int
-}
-
-func newPSolver(sys *model.System, cand, suffix []int, conf []uint64, confW int, opts Options, depth int, incumbent *parsearch.Incumbent, budget *parsearch.Budget) *psolver {
-	// Workers draw their private System clone and evaluator from the
-	// geometry's pools: per-solve worker setup stops allocating once the
-	// pools are warm (close() returns both).
-	ps := &psolver{
-		sys:       sys.ClonePooled(),
-		conf:      conf,
-		confW:     confW,
-		curBits:   make([]uint64, confW),
-		cand:      cand,
-		suffix:    suffix,
-		ctx:       opts.Context,
-		depth:     depth,
-		incumbent: incumbent,
-		budget:    budget,
-	}
-	if opts.BruteForce {
-		ps.ctxW = ps.sys.Weight(opts.Context)
-	} else {
-		ps.eval = model.NewPooledWeightEval(ps.sys)
-		for _, c := range opts.Context {
-			ps.eval.Add(c)
-		}
-		ps.ctxW = ps.eval.Weight()
-	}
-	return ps
-}
-
-func (ps *psolver) close() {
-	if ps.eval != nil {
-		ps.eval.Close()
-	}
-	ps.sys.Release()
 }
 
 // solveTask runs the subtree rooted at t: push the prefix, search, pop. The
@@ -296,27 +265,25 @@ func (ps *psolver) close() {
 // depth, and resuming early would re-decide candidates the expander already
 // settled (re-including prefix members, re-visiting excluded ones).
 func (ps *psolver) solveTask(t task) taskResult {
-	ps.cur = append(ps.cur[:0], t.prefix...)
+	ps.cur = ps.cur[:0]
 	ps.best = ps.best[:0]
 	ps.bestW = 0
 	ps.hasBest = false
 	ps.nodes = 0
 	ps.truncated = false
-	for _, v := range t.prefix {
+	for _, i := range t.prefix {
+		v := ps.cand[i]
+		ps.cur = append(ps.cur, v)
 		ps.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
-	}
-	if ps.eval != nil {
-		for _, v := range t.prefix {
-			ps.eval.Add(v)
+		if ps.eval != nil {
+			ps.eval.Push(ps.loc[i])
 		}
 	}
 	ps.rec(ps.depth, t.w)
-	if ps.eval != nil {
-		for _, v := range t.prefix {
-			ps.eval.Remove(v)
+	for _, v := range ps.cur {
+		if ps.eval != nil {
+			ps.eval.Pop()
 		}
-	}
-	for _, v := range t.prefix {
 		ps.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 	}
 	return taskResult{
@@ -361,21 +328,13 @@ func (ps *psolver) rec(i, curW int) {
 		ps.cur = append(ps.cur, v)
 		ps.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
 		if ps.eval != nil {
-			ps.eval.Add(v)
-			ps.rec(i+1, ps.eval.Weight()-ps.ctxW)
-			ps.eval.Remove(v)
+			ps.rec(i+1, ps.eval.Push(ps.loc[i])-ps.ctxW)
+			ps.eval.Pop()
 		} else {
-			ps.rec(i+1, ps.marginal())
+			ps.rec(i+1, ps.brute.marginal(ps.cur))
 		}
 		ps.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 		ps.cur = ps.cur[:len(ps.cur)-1]
 	}
 	ps.rec(i+1, curW)
-}
-
-func (ps *psolver) marginal() int {
-	ps.scratch = ps.scratch[:0]
-	ps.scratch = append(ps.scratch, ps.cur...)
-	ps.scratch = append(ps.scratch, ps.ctx...)
-	return ps.sys.Weight(ps.scratch) - ps.ctxW
 }
