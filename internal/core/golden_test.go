@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"rfidsched/internal/baseline"
 	"rfidsched/internal/deploy"
 	"rfidsched/internal/geom"
 	"rfidsched/internal/graph"
@@ -144,7 +145,7 @@ func TestGoldenSchedules(t *testing.T) {
 		for _, alg := range []string{"alg1", "alg2", "alg3"} {
 			key := dep.name + "/" + alg
 			want := goldenSchedules[key]
-			for _, workers := range []int{1, 2} {
+			for _, workers := range []int{1, 2, 4} {
 				sys := dep.build(t)
 				got := goldenRun(t, key, sys, graph.FromSystem(sys), alg, workers)
 				if got != want {
@@ -190,6 +191,74 @@ func TestGoldenDownMask(t *testing.T) {
 		g := graph.FromSystem(sys)
 		if got, want := goldenRun(t, key, sys, g, "alg1", workers), goldenSchedules[key]; got != want {
 			t.Errorf("%s workers=%d: got digest %q, want %q", key, workers, got.digest, want.digest)
+		}
+	}
+}
+
+// goldenOneShot locks one first-slot solve on the all-unread deployment: the
+// SHA-256 of the sorted set and its weight. Unlike a covering schedule, a
+// one-shot also pins the exact search's answer (baseline.Exact), and the
+// solvers' first and heaviest slot, where the local searches are largest.
+type goldenOneShot struct {
+	digest string
+	weight int
+}
+
+var goldenOneShots = map[string]goldenOneShot{
+	"uniform/alg1/oneshot":        {digest: "0b60715cc9e2322d1f9d99da1b4db3eba37e14477df1d5d571d683c5dec8ad70", weight: 488},
+	"uniform/alg2/oneshot":        {digest: "01f562fe8a3c5435bbce51dffde292fc687ad412749f0546fa5554bfc3110031", weight: 403},
+	"uniform/alg3/oneshot":        {digest: "01f562fe8a3c5435bbce51dffde292fc687ad412749f0546fa5554bfc3110031", weight: 403},
+	"uniform/exact/oneshot":       {digest: "0b60715cc9e2322d1f9d99da1b4db3eba37e14477df1d5d571d683c5dec8ad70", weight: 488},
+	"heterogeneous/alg1/oneshot":  {digest: "74ab66af1016a055ca7b86861e82c0f9409636f2aaba3e86a3f814094b02ed39", weight: 114},
+	"heterogeneous/alg2/oneshot":  {digest: "dcc149ccd693dac782d1dbcc84b7b009bacddf83809fdf1b6ffc45fc78a7f372", weight: 114},
+	"heterogeneous/alg3/oneshot":  {digest: "33b02b64e9a9810e19ab04b850b95dccea36d7677ee9db793318e5ba899277c6", weight: 114},
+	"heterogeneous/exact/oneshot": {digest: "33b02b64e9a9810e19ab04b850b95dccea36d7677ee9db793318e5ba899277c6", weight: 114},
+}
+
+func setDigest(set []int) string {
+	sum := sha256.Sum256([]byte(fmt.Sprint(set)))
+	return hex.EncodeToString(sum[:])
+}
+
+func TestGoldenOneShots(t *testing.T) {
+	deployments := []struct {
+		name  string
+		build func(*testing.T) *model.System
+	}{
+		{"uniform", goldenUniform},
+		{"heterogeneous", goldenHeterogeneous},
+	}
+	for _, dep := range deployments {
+		for _, alg := range []string{"alg1", "alg2", "alg3", "exact"} {
+			key := dep.name + "/" + alg + "/oneshot"
+			for _, workers := range []int{1, 2, 4} {
+				sys := dep.build(t)
+				g := graph.FromSystem(sys)
+				var sched model.OneShotScheduler
+				switch alg {
+				case "alg1":
+					sched = &PTAS{K: 3, Lambda: 6, Workers: workers}
+				case "alg2":
+					sched = &Growth{G: g, Rho: 1.25, Workers: workers}
+				case "alg3":
+					// Alg. 3 has no solver-worker knob (DESIGN.md §11); its
+					// entry repeats to match the others.
+					sched = NewDistributed(g, 1.25)
+				case "exact":
+					sched = &baseline.Exact{Workers: workers}
+				}
+				X, err := sched.OneShot(sys)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", key, workers, err)
+				}
+				if ex, ok := sched.(*baseline.Exact); ok && !ex.LastExact {
+					t.Fatalf("%s workers=%d: exact search truncated", key, workers)
+				}
+				got := goldenOneShot{digest: setDigest(X), weight: sys.Weight(X)}
+				if want := goldenOneShots[key]; got != want {
+					t.Errorf("%s workers=%d: got {digest: %q, weight: %d}, want %+v", key, workers, got.digest, got.weight, want)
+				}
+			}
 		}
 	}
 }

@@ -82,6 +82,14 @@ type PTAS struct {
 	// OneShot call, summed over shiftings. Diagnostic; not concurrency-safe.
 	LastEvals int
 
+	// LastTruncated reports how many inner branch-and-bound solves of the
+	// most recent OneShot call ran out of their root's share of MaxEvals
+	// before finishing (deadline expiry is not counted), summed over
+	// shiftings. A truncated dense square is not solved exactly, so the
+	// (1-1/k)^2 guarantee holds only when this is 0. Diagnostic; not
+	// concurrency-safe.
+	LastTruncated int
+
 	// LastShift reports the winning (r,s) shifting of the last call.
 	LastShift [2]int
 
@@ -127,7 +135,7 @@ func (p *PTAS) OneShot(sys *model.System) ([]int, error) {
 	}
 
 	inst := newPTASInstance(sys, k)
-	p.LastEvals = 0
+	p.LastEvals, p.LastTruncated = 0, 0
 
 	// Classification per shifting is cheap (O(n·levels)) and stays on the
 	// calling goroutine; the task list is every (shifting, root) pair in
@@ -147,9 +155,10 @@ func (p *PTAS) OneShot(sys *model.System) ([]int, error) {
 	}
 
 	type rootResult struct {
-		set      []int
-		evals    int
-		timedOut bool
+		set       []int
+		evals     int
+		truncated int
+		timedOut  bool
 	}
 	workers := parsearch.Normalize(p.Workers)
 	p.lastAnytime = false
@@ -173,7 +182,7 @@ func (p *PTAS) OneShot(sys *model.System) ([]int, error) {
 		}
 		dp := &ptasDP{plan: pl, sys: wsys, budget: share, memo: make(map[dpMemoKey][]int), dl: p.Deadline}
 		set := dp.solve(pl.rootKeys[tk.root], nil)
-		results[t] = rootResult{set: set, evals: dp.evals, timedOut: dp.timedOut}
+		results[t] = rootResult{set: set, evals: dp.evals, truncated: dp.truncated, timedOut: dp.timedOut}
 	})
 	for _, c := range clones {
 		if c != nil {
@@ -192,6 +201,7 @@ func (p *PTAS) OneShot(sys *model.System) ([]int, error) {
 		for range pl.rootKeys {
 			total = append(total, results[idx].set...)
 			p.LastEvals += results[idx].evals
+			p.LastTruncated += results[idx].truncated
 			p.lastAnytime = p.lastAnytime || results[idx].timedOut
 			idx++
 		}
@@ -382,13 +392,14 @@ func makeMemoKey(key sqKey, ctx []int) dpMemoKey {
 // evaluation budget over the shared shiftPlan, scoring on sys (the live
 // system sequentially, a worker-owned clone on the pool).
 type ptasDP struct {
-	plan     *shiftPlan
-	sys      *model.System
-	budget   int
-	evals    int
-	memo     map[dpMemoKey][]int
-	dl       *parsearch.Deadline
-	timedOut bool
+	plan      *shiftPlan
+	sys       *model.System
+	budget    int
+	evals     int
+	truncated int // inner branch-and-bound solves cut by the budget
+	memo      map[dpMemoKey][]int
+	dl        *parsearch.Deadline
+	timedOut  bool
 }
 
 // expired polls the deadline (one poll per candidate evaluation — each
@@ -493,6 +504,9 @@ func (dp *ptasDP) solve(key sqKey, ctx []int) []int {
 				Deadline: dp.dl,
 			})
 			dp.evals += res.Nodes
+			if !res.Exact && !res.TimedOut {
+				dp.truncated++
+			}
 			if res.TimedOut {
 				// Expired mid-search: keep the anytime incumbent if it beats
 				// the current best (it is feasible against ctx by the cands
