@@ -72,12 +72,15 @@ corebench-check:
 # request decoder (malformed JSON, NaN/Inf coordinates, negative radii —
 # must 400, never panic) — plus the compiled local weight kernel against
 # System.Weight (random push/pop sequences, down readers, survey-style
-# conflict matrices). 30 seconds each shakes out shallow bugs without
+# conflict matrices) and the branch-and-bound's conflict-aware bound against
+# exhaustive enumeration (contexts, duplicate candidates, down readers,
+# asymmetric conflict rows). 30 seconds each shakes out shallow bugs without
 # stalling CI. Raise -fuzztime locally when hunting a specific bug.
 fuzz:
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzDecodeScheduleRequest -fuzztime=30s ./internal/serve
 	$(GO) test -fuzz=FuzzLocalWeight -fuzztime=30s ./internal/model
+	$(GO) test -fuzz=FuzzSolveExact -fuzztime=30s ./internal/mwfs
 
 # lint runs the static analyzers CI enforces. Neither tool ships with the
 # toolchain; install them once with:

@@ -16,6 +16,9 @@ package model
 //     active together: pairs of candidates that conflict are never both
 //     searched, so they are dropped; context readers are always active and
 //     keep every pair.
+//   - one conflict row per candidate position, in position space, for the
+//     search's conflict-aware bound: row i marks the later positions that
+//     including cand[i] rules out (BlockRows).
 //
 // A LocalEval over the compiled instance keeps two bitsets, once (tags
 // covered by exactly one active live reader) and twice (by two or more),
@@ -46,10 +49,12 @@ type LocalKernel struct {
 	adj *adjCache // owner of the pool Release returns to
 
 	nCtx   int
-	glob   []int32 // glob[l]: global index of local reader l
-	cand   []int   // candidates in search order (global indices)
-	loc    []int32 // loc[i]: local index of cand[i]
-	suffix []int   // suffix[i]: Σ singleton weights of cand[i:]
+	glob   []int32  // glob[l]: global index of local reader l
+	cand   []int    // candidates in search order (global indices)
+	loc    []int32  // loc[i]: local index of cand[i]
+	single []int    // single[i]: singleton weight of cand[i]
+	rows   []uint64 // rows[i*rowW:(i+1)*rowW]: block row of cand[i] (BlockRows)
+	rowW   int
 
 	words  int       // bitset words over the local tags
 	covOff []int32   // local reader l's coverage pairs are cov[covOff[l]:covOff[l+1]]
@@ -66,7 +71,6 @@ type LocalKernel struct {
 	readerLocal []int32
 	tagLocal    []int32
 	tagGlob     []int32
-	single      []int
 	acc         []uint64
 	accWords    []int32
 }
@@ -83,8 +87,9 @@ type covPair struct {
 // Context entries are deduplicated and out-of-range ones ignored.
 // Candidates that are out of range or in the context are dropped; the rest
 // are ordered heaviest singleton weight first, ties by ascending index, so
-// good sets come early and the suffix bound bites. Duplicate candidates
-// share one local reader.
+// good sets come early and the search's bound bites. Duplicate candidates
+// share one local reader, and the self bit blocks the later copy once the
+// first is included.
 //
 // The kernel is drawn from a per-geometry pool; Release returns it.
 func CompileLocal(sys *System, ctx, candidates []int, conf []uint64, confW int) *LocalKernel {
@@ -128,11 +133,7 @@ func CompileLocal(sys *System, ctx, candidates []int, conf []uint64, confW int) 
 		}
 		k.loc = append(k.loc, k.readerLocal[v])
 	}
-	k.suffix = append(k.suffix[:0], make([]int, len(cand)+1)...)
-	for i := len(cand) - 1; i >= 0; i-- {
-		k.suffix[i] = k.suffix[i+1] + single[i]
-	}
-
+	k.compileRows(conf, confW)
 	k.compileCoverage(sys)
 	k.compileInterference(sys, conf, confW)
 
@@ -140,6 +141,26 @@ func CompileLocal(sys *System, ctx, candidates []int, conf []uint64, confW int) 
 		k.readerLocal[g] = -1
 	}
 	return k
+}
+
+// compileRows builds the position-space conflict rows: row i has bit j > i
+// set iff cand[j]'s conflict row holds cand[i], the direction in which the
+// search asks "may cand[j] join a set holding cand[i]?". A flooded or
+// survey-estimated matrix may be asymmetric, so cand[i]'s own row would not
+// do. Bits at or before i are never set: those positions are settled by the
+// time cand[i] is included.
+func (k *LocalKernel) compileRows(conf []uint64, confW int) {
+	n := len(k.cand)
+	k.rowW = (n + 63) / 64
+	k.rows = zeroed(k.rows, n*k.rowW)
+	for j, v := range k.cand {
+		row := conf[v*confW : (v+1)*confW]
+		for i, u := range k.cand[:j] {
+			if hasBit(row, u) {
+				k.rows[i*k.rowW+j>>6] |= 1 << (uint(j) & 63)
+			}
+		}
+	}
 }
 
 // compileCoverage renumbers the unread tags of live local readers densely
@@ -231,10 +252,16 @@ func (k *LocalKernel) Candidates() []int { return k.cand }
 // Callers must not mutate it.
 func (k *LocalKernel) LocalIDs() []int32 { return k.loc }
 
-// Suffix returns the subadditive bound table: Suffix()[i] is the sum of the
-// singleton weights of Candidates()[i:], so no subset of them adds more to
-// any set. len = len(Candidates())+1. Callers must not mutate it.
-func (k *LocalKernel) Suffix() []int { return k.suffix }
+// Singles returns, per entry of Candidates, its singleton weight: by
+// subadditivity no reader adds more than this to any set. Callers must not
+// mutate it.
+func (k *LocalKernel) Singles() []int { return k.single }
+
+// BlockRows returns the position-space conflict rows and their stride in
+// words: position i's row occupies rows[i*stride:(i+1)*stride], and its bit
+// j (always j > i) is set iff Candidates()[j] may not join a set holding
+// Candidates()[i]. Callers must not mutate it.
+func (k *LocalKernel) BlockRows() ([]uint64, int) { return k.rows, k.rowW }
 
 // Evals returns n evaluators over the instance, each holding exactly the
 // context. Evaluators are owned by the kernel: they stay valid until

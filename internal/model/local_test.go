@@ -96,7 +96,7 @@ func runLocalCase(t *testing.T, seed uint64, c localCase) (states, dirty int) {
 
 	k := CompileLocal(sys, ctx, cands, conf, w)
 	defer k.Release()
-	checkLocalOrder(t, sys, k, ctx, cands)
+	checkLocalOrder(t, sys, k, ctx, cands, conf, w)
 
 	var dedupCtx []int
 	for _, g := range k.Context() {
@@ -159,8 +159,9 @@ func runLocalCase(t *testing.T, seed uint64, c localCase) (states, dirty int) {
 
 // checkLocalOrder pins the compile pass's candidate handling: out-of-range
 // and context candidates dropped, heaviest singleton first with ties by
-// index, local ids after the context, and the suffix bound table.
-func checkLocalOrder(t *testing.T, sys *System, k *LocalKernel, ctx, cands []int) {
+// index, local ids after the context, singleton weights, and the block
+// rows read in the direction the search asks (cand[j]'s row holds cand[i]).
+func checkLocalOrder(t *testing.T, sys *System, k *LocalKernel, ctx, cands []int, conf []uint64, confW int) {
 	t.Helper()
 	inCtx := map[int]bool{}
 	for _, c := range ctx {
@@ -181,14 +182,19 @@ func checkLocalOrder(t *testing.T, sys *System, k *LocalKernel, ctx, cands []int
 	if !slices.Equal(k.Candidates(), want) {
 		t.Fatalf("candidates %v, want %v", k.Candidates(), want)
 	}
-	sum := 0
-	for i := len(want) - 1; i >= 0; i-- {
-		sum += sys.SingletonWeight(want[i])
-		if k.Suffix()[i] != sum {
-			t.Fatalf("suffix[%d] = %d, want %d", i, k.Suffix()[i], sum)
+	rows, stride := k.BlockRows()
+	for i := range want {
+		if got := k.Singles()[i]; got != sys.SingletonWeight(want[i]) {
+			t.Fatalf("single[%d] = %d, want %d", i, got, sys.SingletonWeight(want[i]))
 		}
 		if l := int(k.LocalIDs()[i]); l < len(k.Context()) {
 			t.Fatalf("candidate %d has context local id %d", want[i], l)
+		}
+		for j := range want {
+			wantBit := j > i && hasBit(conf[want[j]*confW:], want[i])
+			if got := hasBit(rows[i*stride:], j); got != wantBit {
+				t.Fatalf("block row %d bit %d = %t, want %t", i, j, got, wantBit)
+			}
 		}
 	}
 }

@@ -344,7 +344,7 @@ func (s *System) conflictRow(u int) []uint64 {
 }
 
 // ConflictBits exposes the packed independence bitsets for feasibility fast
-// paths (mwfs curBits pruning, the PTAS augmentation, channel assignment):
+// paths (mwfs block rows, the PTAS augmentation, channel assignment):
 // reader v's row occupies words [v*stride, (v+1)*stride), bit u set iff v
 // and u are NOT independent. The slice is shared and immutable; callers
 // must not mutate it.

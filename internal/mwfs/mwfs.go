@@ -12,13 +12,22 @@
 //   - ablation benchmarks comparing exact and approximate one-shot weights.
 //
 // The search orders candidates by decreasing singleton weight and prunes
-// with the subadditive bound w(X ∪ S) <= w(X) + Σ_{v∈S} w({v}), which holds
-// because a newly activated reader can only create well-covered tags inside
-// its own interrogation region.
+// with a conflict-aware form of the subadditive bound w(X ∪ S) <= w(X) +
+// Σ_{v∈S} w({v}), which holds because a newly activated reader can only
+// create well-covered tags inside its own interrogation region: S ranges
+// only over the later candidates that no member of the current set blocks
+// (DESIGN.md §10). A blocked candidate skips its include branch, so the
+// blocked bitset is also the feasibility test. cand[j] is blocked by an
+// included cand[i], i < j, iff cand[j]'s conflict row holds cand[i];
+// Algorithm 3's flooded matrices can be asymmetric, so the direction
+// matters. The bound is admissible and prunes only subtrees that cannot
+// strictly beat the incumbent, so every untruncated search returns the
+// first maximum in DFS pre-order.
 package mwfs
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"rfidsched/internal/model"
@@ -113,7 +122,7 @@ func Solve(sys *model.System, candidates []int, opts Options) Result {
 	// and pops readers (DESIGN.md §10).
 	k := model.CompileLocal(sys, opts.Context, candidates, conf, confW)
 	defer k.Release()
-	sr := searchRange{conf: conf, confW: confW, cand: k.Candidates(), loc: k.LocalIDs(), suffix: k.Suffix()}
+	sr := newSearchRange(k)
 	n := len(sr.cand)
 
 	// Parallel engine: only when a real pool was requested and the frontier
@@ -129,7 +138,7 @@ func Solve(sys *model.System, candidates []int, opts Options) Result {
 	buf := make([]int, 2*n)
 	s := &solver{
 		searchRange: sr,
-		curBits:     make([]uint64, confW),
+		blk:         sr.newBlocker(1),
 		cur:         buf[:0:n],
 		best:        buf[n:n], // empty set, marginal weight 0
 		maxNodes:    maxNodes,
@@ -143,7 +152,7 @@ func Solve(sys *model.System, candidates []int, opts Options) Result {
 		s.eval = k.Evals(1)[0]
 		s.ctxW = s.eval.Weight()
 	}
-	s.rec(0, 0)
+	s.rec(0, 0, sr.total)
 
 	set := append([]int(nil), s.best...)
 	slices.Sort(set)
@@ -154,7 +163,7 @@ type solver struct {
 	searchRange
 	eval     *model.LocalEval // nil on the brute-force path
 	brute    *brute           // nil on the kernel path
-	curBits  []uint64         // bitset mirror of cur, maintained by rec
+	blk      blocker
 	cur      []int
 	best     []int
 	bestW    int
@@ -190,7 +199,9 @@ func (b *brute) marginal(cur []int) int {
 	return b.sys.Weight(b.scratch) - b.ctxW
 }
 
-func (s *solver) rec(i, curW int) {
+// rec expands the node at candidate position i with marginal weight curW
+// and avail, the summed singleton weight of the unblocked positions >= i.
+func (s *solver) rec(i, curW, avail int) {
 	if s.timedOut {
 		return
 	}
@@ -215,27 +226,29 @@ func (s *solver) rec(i, curW int) {
 	if i >= len(s.cand) {
 		return
 	}
-	// Bound: nothing past i can add more than suffix[i].
-	if curW+s.suffix[i] <= s.bestW {
+	// Bound: the unblocked candidates past i add at most avail.
+	if curW+avail <= s.bestW {
 		return
 	}
-
-	v := s.cand[i]
-	// Branch 1: include v if feasible with the current set.
-	if feasibleBits(s.conf, s.confW, v, s.curBits) {
-		s.cur = append(s.cur, v)
-		s.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
-		if s.eval != nil {
-			s.rec(i+1, s.eval.Push(s.loc[i])-s.ctxW)
-			s.eval.Pop()
-		} else {
-			s.rec(i+1, s.brute.marginal(s.cur))
-		}
-		s.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
-		s.cur = s.cur[:len(s.cur)-1]
+	// A member of the current set rules cand[i] out: exclude only.
+	if s.blk.has(i) {
+		s.rec(i+1, curW, avail)
+		return
 	}
-	// Branch 2: exclude v.
-	s.rec(i+1, curW)
+	rest := avail - s.single[i]
+	// Branch 1: include cand[i], blocking its later conflicts.
+	s.cur = append(s.cur, s.cand[i])
+	lost := s.blk.block(i)
+	if s.eval != nil {
+		s.rec(i+1, s.eval.Push(s.loc[i])-s.ctxW, rest-lost)
+		s.eval.Pop()
+	} else {
+		s.rec(i+1, s.brute.marginal(s.cur), rest-lost)
+	}
+	s.blk.unblock(i)
+	s.cur = s.cur[:len(s.cur)-1]
+	// Branch 2: exclude cand[i].
+	s.rec(i+1, curW, rest)
 }
 
 // conflictMatrix resolves Options.Conflicts: nil selects the system's own
@@ -252,16 +265,78 @@ func conflictMatrix(sys *model.System, override []uint64) ([]uint64, int) {
 	return override, w
 }
 
-// feasibleBits reports whether candidate v conflicts with no member of the
-// bitset-mirrored current set: a word-AND of v's conflict row against the
-// set bits. This is the only feasibility test of every solver in the
-// package; the self bit also rejects a duplicate candidate.
-func feasibleBits(conf []uint64, confW, v int, curBits []uint64) bool {
-	row := conf[v*confW : (v+1)*confW]
-	for k, w := range row {
-		if w&curBits[k] != 0 {
-			return false
-		}
+// searchRange is the read-only search input every engine shares: the
+// kernel's ordered candidates, their kernel reader indices, singleton
+// weights and block rows, and the summed singleton weight (the root's
+// avail).
+type searchRange struct {
+	cand   []int
+	loc    []int32
+	single []int
+	rows   []uint64
+	rowW   int
+	total  int
+}
+
+func newSearchRange(k *model.LocalKernel) searchRange {
+	sr := searchRange{cand: k.Candidates(), loc: k.LocalIDs(), single: k.Singles()}
+	sr.rows, sr.rowW = k.BlockRows()
+	for _, w := range sr.single {
+		sr.total += w
 	}
-	return true
+	return sr
+}
+
+// blocker is one searcher's conflict state over candidate positions: the
+// positions some member of the current set rules out, and an undo log of
+// the words each block call overwrote, unwound in LIFO order like
+// model.LocalEval.
+type blocker struct {
+	rows   []uint64 // the kernel's block rows, shared read-only
+	single []int
+	bits   []uint64
+	log    []uint64
+}
+
+// newBlocker returns an empty blocker whose words are at least minWords
+// long, so parallel workers' hot words never share a cache line.
+func (sr *searchRange) newBlocker(minWords int) blocker {
+	// Each include logs at most rowW words, and at most len(cand) positions
+	// are included at once, so the log never grows past its capacity.
+	n := sr.rowW * (1 + len(sr.cand))
+	buf := make([]uint64, max(n, minWords))
+	return blocker{rows: sr.rows, single: sr.single, bits: buf[:sr.rowW], log: buf[sr.rowW:sr.rowW]}
+}
+
+func (b *blocker) has(i int) bool { return b.bits[uint(i)>>6]&(1<<(uint(i)&63)) != 0 }
+
+// block marks the later conflicts of included position i and returns the
+// summed singleton weight of the positions it newly blocked. Row i has no
+// bits at or before i, so the words below i>>6 are left alone.
+func (b *blocker) block(i int) int {
+	rowW := len(b.bits)
+	row := b.rows[i*rowW : (i+1)*rowW]
+	lost := 0
+	for w := i >> 6; w < rowW; w++ {
+		old := b.bits[w]
+		b.log = append(b.log, old)
+		for nb := row[w] &^ old; nb != 0; nb &= nb - 1 {
+			lost += b.single[w<<6|bits.TrailingZeros64(nb)]
+		}
+		b.bits[w] = old | row[w]
+	}
+	return lost
+}
+
+// unblock undoes the most recent block, which must have been block(i).
+func (b *blocker) unblock(i int) {
+	base := len(b.log) - (len(b.bits) - i>>6)
+	copy(b.bits[i>>6:], b.log[base:])
+	b.log = b.log[:base]
+}
+
+// reset clears every block at once, dropping the log.
+func (b *blocker) reset() {
+	clear(b.bits)
+	b.log = b.log[:0]
 }

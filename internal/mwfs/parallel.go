@@ -48,11 +48,12 @@ func frontierDepth(candLen, workers int) int {
 }
 
 // task is one frontier subtree root: the include-prefix over cand[0:depth],
-// as candidate positions, and its (marginal) weight, emitted in global DFS
-// pre-order.
+// as candidate positions, its (marginal) weight and its avail, emitted in
+// global DFS pre-order.
 type task struct {
 	prefix []int32
 	w      int
+	avail  int
 }
 
 // mergeItem is one entry of the deterministic merge sequence. taskIdx >= 0
@@ -85,7 +86,7 @@ func solveParallel(sys *model.System, k *model.LocalKernel, sr searchRange, opts
 	// expansion and every worker get an evaluator over the shared kernel;
 	// the brute-force path scores with System.Weight instead, on a private
 	// clone per worker (Weight uses System scratch).
-	x := &expander{searchRange: sr, curBits: make([]uint64, sr.confW), depth: depth, budget: budget}
+	x := &expander{searchRange: sr, blk: sr.newBlocker(1), depth: depth, budget: budget}
 	var evals []*model.LocalEval
 	var b *brute
 	if opts.BruteForce {
@@ -95,7 +96,7 @@ func solveParallel(sys *model.System, k *model.LocalKernel, sr searchRange, opts
 		evals = k.Evals(workers + 1)
 		x.eval, x.ctxW = evals[0], evals[0].Weight()
 	}
-	x.expand(0, 0)
+	x.expand(0, 0, sr.total)
 
 	// Phase 2: subtree solves on the pool. The incumbent starts at the
 	// expansion-time best — every weight it will ever hold has been achieved
@@ -110,7 +111,7 @@ func solveParallel(sys *model.System, k *model.LocalKernel, sr searchRange, opts
 			// so two workers' hot words never share a line.
 			ps = &psolver{
 				searchRange: sr,
-				curBits:     make([]uint64, sr.confW, max(sr.confW, 8)),
+				blk:         sr.newBlocker(8),
 				cur:         make([]int, 0, max(len(sr.cand), 8)),
 				best:        make([]int, 0, max(len(sr.cand), 8)),
 				depth:       depth,
@@ -160,28 +161,17 @@ func solveParallel(sys *model.System, k *model.LocalKernel, sr searchRange, opts
 	return Result{Set: set, Weight: bestW, Exact: !truncated, TimedOut: budget.TimedOut(), Nodes: nodes}
 }
 
-// searchRange is the read-only search input every engine shares: the
-// conflict matrix and the kernel's ordered candidates, their kernel reader
-// indices and the suffix bound table.
-type searchRange struct {
-	conf   []uint64 // conflict matrix (see conflictMatrix)
-	confW  int
-	cand   []int
-	loc    []int32
-	suffix []int
-}
-
 // expander runs the depth-limited sequential DFS that builds the merge-item
 // sequence. It mirrors solver.rec exactly on internal nodes; at the split
 // depth it emits a task instead of recursing.
 type expander struct {
 	searchRange
-	eval    *model.LocalEval // nil on the brute-force path
-	brute   *brute           // nil on the kernel path
-	curBits []uint64
-	depth   int
-	ctxW    int
-	budget  *parsearch.Budget
+	eval   *model.LocalEval // nil on the brute-force path
+	brute  *brute           // nil on the kernel path
+	blk    blocker
+	depth  int
+	ctxW   int
+	budget *parsearch.Budget
 
 	cur       []int
 	path      []int32 // candidate positions of cur
@@ -193,10 +183,10 @@ type expander struct {
 	tasks     []task
 }
 
-func (x *expander) expand(i, curW int) {
+func (x *expander) expand(i, curW, avail int) {
 	if i == x.depth {
 		x.items = append(x.items, mergeItem{taskIdx: len(x.tasks)})
-		x.tasks = append(x.tasks, task{prefix: append([]int32(nil), x.path...), w: curW})
+		x.tasks = append(x.tasks, task{prefix: append([]int32(nil), x.path...), w: curW, avail: avail})
 		return
 	}
 	if x.grant == 0 {
@@ -215,25 +205,27 @@ func (x *expander) expand(i, curW int) {
 	// Bound: the running expansion best is a lower bound on the sequential
 	// best-so-far at this pre-order position, so pruning against it prunes
 	// no subtree the sequential search would have kept.
-	if curW+x.suffix[i] <= x.bestW {
+	if curW+avail <= x.bestW {
 		return
 	}
-	v := x.cand[i]
-	if feasibleBits(x.conf, x.confW, v, x.curBits) {
-		x.cur = append(x.cur, v)
-		x.path = append(x.path, int32(i))
-		x.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
-		if x.eval != nil {
-			x.expand(i+1, x.eval.Push(x.loc[i])-x.ctxW)
-			x.eval.Pop()
-		} else {
-			x.expand(i+1, x.brute.marginal(x.cur))
-		}
-		x.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
-		x.cur = x.cur[:len(x.cur)-1]
-		x.path = x.path[:len(x.path)-1]
+	if x.blk.has(i) {
+		x.expand(i+1, curW, avail)
+		return
 	}
-	x.expand(i+1, curW)
+	rest := avail - x.single[i]
+	x.cur = append(x.cur, x.cand[i])
+	x.path = append(x.path, int32(i))
+	lost := x.blk.block(i)
+	if x.eval != nil {
+		x.expand(i+1, x.eval.Push(x.loc[i])-x.ctxW, rest-lost)
+		x.eval.Pop()
+	} else {
+		x.expand(i+1, x.brute.marginal(x.cur), rest-lost)
+	}
+	x.blk.unblock(i)
+	x.cur = x.cur[:len(x.cur)-1]
+	x.path = x.path[:len(x.path)-1]
+	x.expand(i+1, curW, rest)
 }
 
 // psolver is one worker's private search state: its own evaluator over the
@@ -243,7 +235,7 @@ type psolver struct {
 	searchRange
 	eval      *model.LocalEval // nil on the brute-force path
 	brute     *brute           // nil on the kernel path; owns a pooled clone
-	curBits   []uint64
+	blk       blocker
 	ctxW      int
 	depth     int
 	incumbent *parsearch.Incumbent
@@ -258,12 +250,13 @@ type psolver struct {
 	truncated bool
 }
 
-// solveTask runs the subtree rooted at t: push the prefix, search, pop. The
-// search resumes at candidate index ps.depth, NOT len(t.prefix): the prefix
-// holds only the candidates the expander INCLUDED among cand[0:depth] —
-// exclude branches and infeasible skips make it shorter than the frontier
-// depth, and resuming early would re-decide candidates the expander already
-// settled (re-including prefix members, re-visiting excluded ones).
+// solveTask runs the subtree rooted at t: push and block the prefix,
+// search, unwind. The search resumes at candidate index ps.depth, NOT
+// len(t.prefix): the prefix holds only the candidates the expander INCLUDED
+// among cand[0:depth] — exclude branches and blocked skips make it shorter
+// than the frontier depth, and resuming early would re-decide candidates
+// the expander already settled (re-including prefix members, re-visiting
+// excluded ones).
 func (ps *psolver) solveTask(t task) taskResult {
 	ps.cur = ps.cur[:0]
 	ps.best = ps.best[:0]
@@ -272,19 +265,18 @@ func (ps *psolver) solveTask(t task) taskResult {
 	ps.nodes = 0
 	ps.truncated = false
 	for _, i := range t.prefix {
-		v := ps.cand[i]
-		ps.cur = append(ps.cur, v)
-		ps.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
+		ps.cur = append(ps.cur, ps.cand[i])
+		ps.blk.block(int(i))
 		if ps.eval != nil {
 			ps.eval.Push(ps.loc[i])
 		}
 	}
-	ps.rec(ps.depth, t.w)
-	for _, v := range ps.cur {
-		if ps.eval != nil {
+	ps.rec(ps.depth, t.w, t.avail)
+	ps.blk.reset()
+	if ps.eval != nil {
+		for range ps.cur {
 			ps.eval.Pop()
 		}
-		ps.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
 	}
 	return taskResult{
 		set:       append([]int(nil), ps.best...),
@@ -300,7 +292,7 @@ func (ps *psolver) solveTask(t task) taskResult {
 // node is its first node), and the prune bound folds in the shared incumbent
 // strictly (ties with an earlier subtree's weight stay explorable so the
 // deterministic merge can prefer the earlier achiever).
-func (ps *psolver) rec(i, curW int) {
+func (ps *psolver) rec(i, curW, avail int) {
 	if ps.grant == 0 {
 		ps.grant = ps.budget.Reserve(parsearch.BudgetChunk)
 		if ps.grant == 0 {
@@ -319,22 +311,24 @@ func (ps *psolver) rec(i, curW int) {
 	if i >= len(ps.cand) {
 		return
 	}
-	ub := curW + ps.suffix[i]
+	ub := curW + avail
 	if ub <= ps.bestW || ub < ps.incumbent.Get() {
 		return
 	}
-	v := ps.cand[i]
-	if feasibleBits(ps.conf, ps.confW, v, ps.curBits) {
-		ps.cur = append(ps.cur, v)
-		ps.curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
-		if ps.eval != nil {
-			ps.rec(i+1, ps.eval.Push(ps.loc[i])-ps.ctxW)
-			ps.eval.Pop()
-		} else {
-			ps.rec(i+1, ps.brute.marginal(ps.cur))
-		}
-		ps.curBits[uint(v)>>6] &^= 1 << (uint(v) & 63)
-		ps.cur = ps.cur[:len(ps.cur)-1]
+	if ps.blk.has(i) {
+		ps.rec(i+1, curW, avail)
+		return
 	}
-	ps.rec(i+1, curW)
+	rest := avail - ps.single[i]
+	ps.cur = append(ps.cur, ps.cand[i])
+	lost := ps.blk.block(i)
+	if ps.eval != nil {
+		ps.rec(i+1, ps.eval.Push(ps.loc[i])-ps.ctxW, rest-lost)
+		ps.eval.Pop()
+	} else {
+		ps.rec(i+1, ps.brute.marginal(ps.cur), rest-lost)
+	}
+	ps.blk.unblock(i)
+	ps.cur = ps.cur[:len(ps.cur)-1]
+	ps.rec(i+1, curW, rest)
 }

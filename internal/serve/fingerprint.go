@@ -28,10 +28,16 @@ import (
 // JSON deployment hit the same cache line.
 //
 // The hash is SHA-256 over a versioned, length-prefixed binary encoding;
-// any change to the encoding must bump fpVersion.
+// any change to the encoding must bump fpVersion. So must any change to the
+// schedules a fingerprint keys: a result cached, or a -ckpt-dir checkpoint
+// left at drain, under the old version would otherwise resume or replay
+// into a schedule that no cold solve produces any more. v2: the
+// branch-and-bound's conflict-aware bound changed Alg. 1 schedules (fewer
+// PTAS squares run out of evaluation budget) and every schedule under a
+// deterministic per-slot poll budget (the budget counts search nodes).
 type Fingerprint [sha256.Size]byte
 
-const fpVersion = "rfidserved-fp-v1"
+const fpVersion = "rfidserved-fp-v2"
 
 // String returns the fingerprint in hex — the wire form used for job ids.
 func (fp Fingerprint) String() string { return hex.EncodeToString(fp[:]) }
