@@ -5,10 +5,13 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"rfidsched/internal/baseline"
 	"rfidsched/internal/deploy"
+	"rfidsched/internal/distnet"
+	"rfidsched/internal/fault"
 	"rfidsched/internal/geom"
 	"rfidsched/internal/graph"
 	"rfidsched/internal/model"
@@ -259,6 +262,154 @@ func TestGoldenOneShots(t *testing.T) {
 					t.Errorf("%s workers=%d: got {digest: %q, weight: %d}, want %+v", key, workers, got.digest, got.weight, want)
 				}
 			}
+		}
+	}
+}
+
+// goldenFault locks one Alg. 3 first-slot solve under a fault scenario: the
+// decided set's digest and weight plus every distnet.Stats counter, so a
+// change to the radio's delivery order, fault draws or stepping shows up
+// even where it leaves the set alone.
+type goldenFault struct {
+	digest string
+	weight int
+	stats  distnet.Stats
+}
+
+// goldenFaultSystem is the mcs-paper geometry (deploy seed 2011) at 30
+// readers and 600 tags: c = 16, so an epoch is 86 rounds with the
+// coordinator election at round 34 of each.
+func goldenFaultSystem(t *testing.T) *model.System {
+	t.Helper()
+	cfg := deploy.Paper(2011, 12, 5)
+	cfg.NumReaders, cfg.NumTags = 30, 600
+	sys, err := deploy.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// goldenFaultCases configures each locked scenario on a fresh scheduler.
+// All but the re-election case run on the dense uniform deployment, where
+// the floods carry thousands of messages for the faults to act on.
+var goldenFaultCases = []struct {
+	name      string
+	build     func(*testing.T) *model.System
+	configure func(d *Distributed)
+}{
+	{"loss", goldenHeterogeneous, func(d *Distributed) { d.LossRate, d.LossSeed = 0.15, 9 }},
+	// Reader 0 is a head of epoch 0 and misses its decision round (85)
+	// and the next epoch's start: it is elected again at round 120 and
+	// drops out of the decided set (ROADMAP item 7).
+	{"straggle-reelect", goldenFaultSystem, func(d *Distributed) {
+		d.Faults = &fault.Scenario{Events: []fault.Event{fault.Straggle(0, 85, 2)}}
+	}},
+	// Epochs are 91 rounds here (c = 17): every straggle spans an epoch
+	// boundary.
+	{"straggle-epochs", goldenHeterogeneous, func(d *Distributed) {
+		d.Faults = &fault.Scenario{Events: []fault.Event{
+			fault.Straggle(3, 60, 120),
+			fault.Straggle(12, 85, 10),
+			fault.Straggle(17, 150, 100),
+			fault.Straggle(25, 80, 200),
+		}}
+	}},
+	{"crash-dup-reorder", goldenHeterogeneous, func(d *Distributed) {
+		d.Faults = &fault.Scenario{Seed: 5, Events: []fault.Event{
+			fault.CrashRecover(7, 20, 50),
+			fault.CrashRecover(22, 100, 130),
+			fault.Duplicate(0.1, 0, fault.Forever),
+			fault.Reorder(10, 200),
+		}}
+	}},
+	{"partition-loss", goldenHeterogeneous, func(d *Distributed) {
+		var cut [][2]int
+		for _, v := range []int{4, 19} {
+			for _, w := range d.G.Neighbors(v) {
+				cut = append(cut, [2]int{v, int(w)})
+			}
+		}
+		d.Faults = &fault.Scenario{Seed: 13, Events: []fault.Event{
+			fault.Partition(cut, 10, 150),
+			fault.Loss(0.05, 0, fault.Forever),
+		}}
+	}},
+}
+
+var goldenFaults = map[string]goldenFault{
+	"loss": {
+		digest: "33b02b64e9a9810e19ab04b850b95dccea36d7677ee9db793318e5ba899277c6", weight: 114,
+		stats: distnet.Stats{
+			Rounds: 546, MessagesSent: 21006, MessagesLost: 2603, MaxInboxSize: 423, UndeliveredDown: 3365,
+			ParkedAtRound: []int{
+				90, 181, 272, 181, 90, 363, 272, 363, 181, 363, 363, 90, 272, 272, 454,
+				363, 454, 90, 181, 454, 181, 272, 363, 272, 454, 90, 272, 181, 90, 90,
+				454, 454, 272, 545, 363, 90, 181, 90, 363, 90,
+			},
+		},
+	},
+	"straggle-reelect": {
+		digest: "7b88913fe4e96ced1b40f7a4182a2a6c212b8f9f592a5084a482694ab38d2098", weight: 72,
+		stats: distnet.Stats{
+			Rounds: 258, MessagesSent: 349, MaxInboxSize: 14, StragglerSkips: 2, UndeliveredDown: 13,
+			ParkedAtRound: []int{
+				171, 85, 171, 85, 85, 85, 171, 85, 85, 171, 85, 85, 85, 85, 85,
+				85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 85, 257, 85, 171, 85,
+			},
+		},
+	},
+	"straggle-epochs": {
+		digest: "33b02b64e9a9810e19ab04b850b95dccea36d7677ee9db793318e5ba899277c6", weight: 114,
+		stats: distnet.Stats{
+			Rounds: 455, MessagesSent: 20299, MaxInboxSize: 539, StragglerSkips: 330, UndeliveredDown: 3234,
+			ParkedAtRound: []int{
+				90, 272, 181, 272, 90, 272, 181, 272, 272, 272, 272, 90, 272, 363, 363,
+				363, 454, 90, 181, 363, 272, 363, 363, 363, 363, 363, 181, 181, 90, 90,
+				454, 363, 181, 363, 363, 90, 181, 90, 454, 90,
+			},
+		},
+	},
+	"crash-dup-reorder": {
+		digest: "33b02b64e9a9810e19ab04b850b95dccea36d7677ee9db793318e5ba899277c6", weight: 114,
+		stats: distnet.Stats{
+			Rounds: 455, MessagesSent: 21424, MaxInboxSize: 593, DuplicatedMessages: 1728, UndeliveredDown: 3598,
+			ParkedAtRound: []int{
+				90, 181, 272, 181, 90, 363, 272, 363, 181, 363, 363, 90, 272, 272, 454,
+				363, 454, 90, 181, 454, 181, 272, 363, 272, 454, 90, 272, 181, 90, 90,
+				454, 454, 272, 454, 363, 90, 181, 90, 363, 90,
+			},
+		},
+	},
+	"partition-loss": {
+		digest: "e69234a6dd0252609e011f1e364bb55257bd6d09f2e0fcbed3f65dbbd3b744ae", weight: 98,
+		stats: distnet.Stats{
+			Rounds: 455, MessagesSent: 39367, MessagesLost: 1681, MaxInboxSize: 506, PartitionedRounds: 140, PartitionDropped: 248, UndeliveredDown: 4591,
+			ParkedAtRound: []int{
+				363, 181, 272, 181, 90, 363, 272, 363, 181, 363, 363, 181, 272, 272, 454,
+				454, 454, 454, 454, 181, 181, 454, 454, 454, 454, 454, 272, 454, 90, 181,
+				454, 454, 272, 454, 454, 454, 454, 454, 454, 454,
+			},
+		},
+	},
+}
+
+// TestGoldenAlg3Faults locks Alg. 3 under loss, stragglers, crash-recover,
+// duplication, reordering and partitions: the radio must make the same
+// per-message decisions, in the same order, for the set and every Stats
+// counter to match.
+func TestGoldenAlg3Faults(t *testing.T) {
+	for _, tc := range goldenFaultCases {
+		sys := tc.build(t)
+		d := NewDistributed(graph.FromSystem(sys), 1.25)
+		tc.configure(d)
+		X, err := d.OneShot(sys)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := goldenFault{digest: setDigest(X), weight: sys.Weight(X), stats: *d.LastStats}
+		if want := goldenFaults[tc.name]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %#v\nwant %#v", tc.name, got, want)
 		}
 	}
 }
