@@ -72,15 +72,18 @@ corebench-check:
 # request decoder (malformed JSON, NaN/Inf coordinates, negative radii —
 # must 400, never panic) — plus the compiled local weight kernel against
 # System.Weight (random push/pop sequences, down readers, survey-style
-# conflict matrices) and the branch-and-bound's conflict-aware bound against
+# conflict matrices), the branch-and-bound's conflict-aware bound against
 # exhaustive enumeration (contexts, duplicate candidates, down readers,
-# asymmetric conflict rows). 30 seconds each shakes out shallow bugs without
+# asymmetric conflict rows) and the quiescent distnet round loop against a
+# step-every-node reference (random graphs, fault scenarios and node
+# programs that honour their wake). 30 seconds each shakes out shallow bugs without
 # stalling CI. Raise -fuzztime locally when hunting a specific bug.
 fuzz:
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/checkpoint
 	$(GO) test -fuzz=FuzzDecodeScheduleRequest -fuzztime=30s ./internal/serve
 	$(GO) test -fuzz=FuzzLocalWeight -fuzztime=30s ./internal/model
 	$(GO) test -fuzz=FuzzSolveExact -fuzztime=30s ./internal/mwfs
+	$(GO) test -fuzz=FuzzRunMatchesReference -fuzztime=30s ./internal/distnet
 
 # lint runs the static analyzers CI enforces. Neither tool ships with the
 # toolchain; install them once with:
@@ -91,6 +94,6 @@ lint:
 	govulncheck ./...
 
 # check is the full pre-merge gate: compile, static analysis, and the whole
-# test suite under the race detector (the fault-injection layers lean on
-# concurrent per-round node execution, so -race is not optional here).
+# test suite under the race detector (the solver worker pools and the
+# service run concurrently, so -race is not optional here).
 check: build vet race

@@ -11,13 +11,12 @@ import (
 	"rfidsched/internal/model"
 	"rfidsched/internal/mwfs"
 	"rfidsched/internal/obs"
-	"rfidsched/internal/randx"
 )
 
 // Distributed is Algorithm 3: the fully distributed One-Shot scheduler
 // without location information (Section V-B). Every reader runs the same
-// node program over the interference-graph radio topology (every round
-// steps all readers on a worker pool, see package distnet):
+// node program over the interference-graph radio topology (package
+// distnet steps a reader only when it has mail or a phase boundary is due):
 //
 //	Step 1  Each White reader collects (id, weight, adjacency) records from
 //	        its (2c+2)-hop neighborhood by flooding.
@@ -42,7 +41,8 @@ import (
 // flooding, then a decision round. Deciding readers park; the rest start
 // the next epoch. Progress is guaranteed because every epoch has at least
 // one head (the global maximum among White readers) and a head always
-// leaves the White set.
+// leaves the White set. Floods broadcast uint64 handles into the call's
+// record and announcement tables (see alg3Call).
 type Distributed struct {
 	G   *graph.Graph
 	Rho float64
@@ -60,7 +60,8 @@ type Distributed struct {
 	MaxRounds int
 
 	// LossRate, when positive, injects independent per-message loss into
-	// the radio network (failure injection for robustness studies). The
+	// the radio network (failure injection for robustness studies): an
+	// always-on loss event in the same plan as Faults. The
 	// flooding phases are naturally redundant — records travel every path
 	// of the ball — so moderate loss mostly costs nothing, but heavy loss
 	// can split coordinator elections; OneShot reports the outcome
@@ -73,9 +74,9 @@ type Distributed struct {
 	// Faults scripts richer failure injection (crashes, partitions,
 	// stragglers, duplication, reordering; see package fault) against the
 	// protocol network; its tick axis is the protocol round. A scenario
-	// with Seed 0 inherits LossSeed so the whole failure stream hangs off
-	// one knob. Combines with LossRate: the legacy rate is folded into the
-	// same plan as an always-on loss event.
+	// with Seed 0 or no events inherits LossSeed so the whole failure
+	// stream hangs off one knob. Combines with LossRate, which is folded
+	// into the same plan as an always-on loss event.
 	Faults *fault.Scenario
 
 	// Strict makes OneShot verify the decided set against the interference
@@ -155,19 +156,20 @@ func (d *Distributed) OneShot(sys *model.System) ([]int, error) {
 	// Node state is dense: three bitsets over reader ids per node, carved
 	// out of one backing array. Each node's own record is fixed for the
 	// whole call (the read state does not change while the protocol runs),
-	// so it is built once here and flooded as a shared immutable pointer.
+	// so it is built once here and flooded by its origin id.
+	tables := &alg3Call{recs: make([]infoRec, n), results: make([][]resultMsg, n)}
 	decisions := make([]int8, n)
 	nodes := make([]distnet.Node, n)
 	states := make([]alg3Node, n)
 	w := (n + 63) / 64
 	bits := make(bitset, 3*n*w)
 	for id := 0; id < n; id++ {
+		tables.recs[id] = infoRec{Weight: sys.SingletonWeight(id), Nbrs: d.G.Neighbors(id)}
 		b := bits[3*id*w:]
 		states[id] = alg3Node{
 			id:          id,
-			g:           d.G,
+			call:        tables,
 			base:        sys,
-			self:        &infoRec{Origin: id, Weight: sys.SingletonWeight(id), Nbrs: d.G.Neighbors(id)},
 			rho:         d.Rho,
 			c:           c,
 			epochLen:    epochLen,
@@ -214,21 +216,21 @@ func (d *Distributed) OneShot(sys *model.System) ([]int, error) {
 	return X, nil
 }
 
-// attachFaults merges the legacy LossRate knob and the Faults scenario into
-// one compiled plan on net. No faults configured leaves net untouched.
+// attachFaults compiles the LossRate knob and the Faults scenario into one
+// plan on net. No faults configured leaves net untouched.
 func (d *Distributed) attachFaults(net *distnet.Network) error {
-	if d.Faults == nil || d.Faults.IsZero() {
-		if d.LossRate > 0 {
-			net.WithLoss(d.LossRate, randx.New(d.LossSeed).Float64)
-		}
-		return nil
+	var sc fault.Scenario
+	if d.Faults != nil {
+		sc = fault.Scenario{Seed: d.Faults.Seed, Events: slices.Clone(d.Faults.Events)}
 	}
-	sc := fault.Scenario{Seed: d.Faults.Seed, Events: append([]fault.Event(nil), d.Faults.Events...)}
-	if sc.Seed == 0 {
+	if sc.Seed == 0 || sc.IsZero() {
 		sc.Seed = d.LossSeed
 	}
 	if d.LossRate > 0 {
 		sc.Events = append(sc.Events, fault.Loss(d.LossRate, 0, fault.Forever))
+	}
+	if sc.IsZero() {
+		return nil
 	}
 	plan, err := sc.Compile(d.G.N())
 	if err != nil {
@@ -244,28 +246,52 @@ const (
 	decidedBlack
 )
 
-// infoRec is the Step-1 flooding payload: identity, one-shot singleton
-// weight, and radio adjacency of the origin. It travels as a shared
-// immutable *infoRec.
+// infoRec is the Step-1 flooding payload: one-shot singleton weight and
+// radio adjacency of its origin. Its handle is the origin id.
 type infoRec struct {
-	Origin int
 	Weight int
 	Nbrs   []int32
 }
 
 // resultMsg is the Step-3 announcement: the head's committed local MWFS and
-// the neighborhood it removes. It travels as a shared immutable *resultMsg.
+// the neighborhood it removes.
 type resultMsg struct {
-	Head    int
 	Gamma   []int
 	Removed []int
 }
 
+// announceBit marks an announcement handle: announceBit | k<<32 | head
+// names the head's k-th announcement of the call. Any other handle is an
+// info record's origin id.
+const announceBit = 1 << 63
+
+// alg3Call holds the payloads of one OneShot call, which the flooded
+// handles index. Records are immutable for the call; each head appends to
+// its own announcement history and never rewrites it. A head that decided
+// but missed its decision round is elected again and announces twice
+// (ROADMAP item 7), and a straggler may still hold the first announcement,
+// so a handle names one announcement, never "the head's latest".
+type alg3Call struct {
+	recs    []infoRec     // by origin id
+	results [][]resultMsg // by head, append-only
+}
+
+// announce appends res to head's history and returns its handle.
+func (c *alg3Call) announce(head int, res resultMsg) uint64 {
+	k := len(c.results[head])
+	c.results[head] = append(c.results[head], res)
+	return announceBit | uint64(k)<<32 | uint64(head)
+}
+
+// result resolves an announcement handle.
+func (c *alg3Call) result(h uint64) *resultMsg {
+	return &c.results[uint32(h)][h>>32&0x7fffffff]
+}
+
 type alg3Node struct {
 	id          int
-	g           *graph.Graph
-	base        *model.System // read-only: heads solve on it concurrently
-	self        *infoRec
+	call        *alg3Call
+	base        *model.System // read-only
 	rho         float64
 	c           int
 	epochLen    int
@@ -274,13 +300,13 @@ type alg3Node struct {
 
 	state int8
 
-	// heard lists the records received this epoch, own record first;
-	// heard[flooded:] still has to be relayed. known marks their origins.
-	heard        []*infoRec
+	// heard lists the origins of the records received this epoch, own
+	// first; heard[flooded:] still has to be relayed. known marks them.
+	heard        []int
 	flooded      int
 	known        bitset
-	seenResults  bitset // heads whose announcement arrived this epoch
-	freshResults []*resultMsg
+	seenResults  bitset   // heads whose announcement arrived this epoch
+	freshResults []uint64 // announcement handles still to relay
 
 	// knownRed accumulates, across epochs, every reader this node has
 	// heard committed (Red) in announcements. A head passes them to its
@@ -302,7 +328,7 @@ func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) add(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 
 // Step implements distnet.Node.
-func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message, bool) {
+func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message, int, bool) {
 	re := round % nd.epochLen
 	collect := 2*nd.c + 2
 
@@ -313,22 +339,20 @@ func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message,
 		clear(nd.seenResults)
 		nd.heard, nd.flooded = nd.heard[:0], 0
 		nd.freshResults = nd.freshResults[:0]
-		nd.learn(nd.self)
+		nd.learn(nd.id)
 	}
 
 	// Ingest.
 	for _, m := range inbox {
-		switch p := m.Payload.(type) {
-		case *infoRec:
-			if !nd.known.has(p.Origin) {
-				nd.learn(p)
+		h := m.Payload
+		if h&announceBit == 0 {
+			if !nd.known.has(int(h)) {
+				nd.learn(int(h))
 			}
-		case *resultMsg:
-			if !nd.seenResults.has(p.Head) {
-				nd.seenResults.add(p.Head)
-				nd.freshResults = append(nd.freshResults, p)
-				nd.apply(p)
-			}
+		} else if head := int(uint32(h)); !nd.seenResults.has(head) {
+			nd.seenResults.add(head)
+			nd.freshResults = append(nd.freshResults, h)
+			nd.apply(nd.call.result(h))
 		}
 	}
 
@@ -336,8 +360,8 @@ func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message,
 	switch {
 	case re < collect:
 		// Step 1: flood info records.
-		for _, rec := range nd.heard[nd.flooded:] {
-			out = distnet.Broadcast(out, nd.g, nd.id, rec)
+		for _, o := range nd.heard[nd.flooded:] {
+			out = append(out, nd.broadcast(uint64(o)))
 		}
 		nd.flooded = len(nd.heard)
 
@@ -346,14 +370,14 @@ func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message,
 		if nd.isHead() {
 			res := nd.computeResult()
 			nd.seenResults.add(nd.id)
-			nd.apply(res)
-			out = distnet.Broadcast(out, nd.g, nd.id, res)
+			nd.apply(&res)
+			out = append(out, nd.broadcast(nd.call.announce(nd.id, res)))
 		}
 
 	case re < nd.epochLen-1:
 		// Step 3: flood announcements.
-		for _, res := range nd.freshResults {
-			out = distnet.Broadcast(out, nd.g, nd.id, res)
+		for _, h := range nd.freshResults {
+			out = append(out, nd.broadcast(h))
 		}
 		nd.freshResults = nd.freshResults[:0]
 
@@ -362,17 +386,42 @@ func (nd *alg3Node) Step(round int, inbox []distnet.Message) ([]distnet.Message,
 		// epoch.
 		if nd.state != decidedWhite {
 			nd.decisions[nd.id] = nd.state
-			return nil, true
+			return nil, 0, true
 		}
 	}
 	nd.out = out
-	return out, false
+	return out, nd.wake(round, re), false
 }
 
-// learn records an info record heard for the first time this epoch.
-func (nd *alg3Node) learn(rec *infoRec) {
-	nd.known.add(rec.Origin)
-	nd.heard = append(nd.heard, rec)
+// wake returns the next round at which a Step with an empty inbox is not a
+// no-op. Every Step that ingests a record or announcement in a flood phase
+// relays it at once, so only the phase boundaries are due: the election,
+// the decision round and the next epoch's start — plus the first
+// announcement round when an announcement arrived before it could be
+// relayed (a late or carried-over message).
+func (nd *alg3Node) wake(round, re int) int {
+	start, collect := round-re, 2*nd.c+2
+	switch {
+	case re < collect:
+		return start + collect
+	case re == collect && len(nd.freshResults) > 0:
+		return round + 1
+	case re < nd.epochLen-1:
+		return start + nd.epochLen - 1
+	}
+	return start + nd.epochLen
+}
+
+// broadcast addresses handle h to every radio neighbor.
+func (nd *alg3Node) broadcast(h uint64) distnet.Message {
+	return distnet.Message{From: nd.id, To: distnet.All, Payload: h}
+}
+
+// learn records the info record of origin o, heard for the first time this
+// epoch.
+func (nd *alg3Node) learn(o int) {
+	nd.known.add(o)
+	nd.heard = append(nd.heard, o)
 }
 
 func (nd *alg3Node) apply(res *resultMsg) {
@@ -389,9 +438,9 @@ func (nd *alg3Node) apply(res *resultMsg) {
 // isHead reports whether this node's (weight, id) is maximal among every
 // White node it heard from. Lower id wins weight ties.
 func (nd *alg3Node) isHead() bool {
-	mine := nd.self.Weight
-	for _, rec := range nd.heard {
-		if rec.Weight > mine || (rec.Weight == mine && rec.Origin < nd.id) {
+	mine := nd.call.recs[nd.id].Weight
+	for _, o := range nd.heard {
+		if w := nd.call.recs[o].Weight; w > mine || (w == mine && o < nd.id) {
 			return false
 		}
 	}
@@ -402,7 +451,7 @@ func (nd *alg3Node) isHead() bool {
 // White subgraph around this head. Feasibility comes only from conflict
 // rows built out of the adjacency records this head collected by flooding —
 // no global graph knowledge.
-func (nd *alg3Node) computeResult() *resultMsg {
+func (nd *alg3Node) computeResult() resultMsg {
 	n := nd.base.NumReaders()
 	var committed []int
 	for v := 0; v < n; v++ {
@@ -412,8 +461,8 @@ func (nd *alg3Node) computeResult() *resultMsg {
 	}
 	opts := mwfs.Options{MaxNodes: nd.solverNodes, Conflicts: nd.localConflicts(n), Context: committed}
 	byID := make([]*infoRec, n)
-	for _, rec := range nd.heard {
-		byID[rec.Origin] = rec
+	for _, o := range nd.heard {
+		byID[o] = &nd.call.recs[o]
 	}
 
 	cur := mwfs.Solve(nd.base, []int{nd.id}, opts)
@@ -427,7 +476,7 @@ func (nd *alg3Node) computeResult() *resultMsg {
 		cur = next
 		r++
 	}
-	return &resultMsg{Head: nd.id, Gamma: cur.Set, Removed: nd.localBall(byID, r+1)}
+	return resultMsg{Gamma: cur.Set, Removed: nd.localBall(byID, r+1)}
 }
 
 // localConflicts packs the local White subgraph as mwfs conflict rows over
@@ -439,10 +488,10 @@ func (nd *alg3Node) localConflicts(n int) []uint64 {
 	for v := 0; v < n; v++ {
 		conf[v*stride:].add(v)
 	}
-	for _, rec := range nd.heard {
-		for _, w := range rec.Nbrs {
+	for _, o := range nd.heard {
+		for _, w := range nd.call.recs[o].Nbrs {
 			if nd.known.has(int(w)) {
-				conf[int(w)*stride:].add(rec.Origin)
+				conf[int(w)*stride:].add(o)
 			}
 		}
 	}

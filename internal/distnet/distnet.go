@@ -1,59 +1,74 @@
 // Package distnet is the message-passing substrate for Algorithm 3: a
-// synchronous (BSP-style) network of reader nodes. Each node runs its Step
-// function once per round — the Steps of a round execute concurrently on a
-// GOMAXPROCS-sized worker pool — and may send messages only to its neighbors
-// in the interference graph; messages sent in round t are delivered at round
-// t+1.
+// synchronous (BSP-style) network of reader nodes. Each round steps the
+// nodes that have mail or are due (see Node), in id order on the caller's
+// goroutine, and a node may send messages only to its neighbors in the
+// interference graph; messages sent in round t are delivered at round t+1.
 //
 // The synchronous model matches the paper's setting (slotted time is
 // already assumed for tag reading) and makes executions deterministic:
-// every Step's outbox lands in its node's own result slot and delivery walks
-// the slots in id order, so inboxes arrive sorted by sender and a seeded run
-// always produces the same schedule regardless of goroutine interleaving or
-// worker count.
+// delivery walks the round's outboxes in sender id order, so inboxes arrive
+// sorted by sender and a seeded run always produces the same schedule.
+//
+// A message carries an opaque uint64 handle, never a pointer: node programs
+// keep their payloads in their own tables and send indexes into them, so
+// inbox buffers hold no pointers for the garbage collector to scan. A
+// broadcast (To == All) is one outbox entry that delivery expands over the
+// sender's neighbors in adjacency order.
 //
 // Failure injection is scripted through package fault (WithFaults): reader
 // crashes stop a node from stepping and sending, partitions cut edge
 // traffic, stragglers skip rounds, and probabilistic loss, duplication and
-// reordering perturb delivery — all reproducibly from a scenario seed. The
-// legacy WithLoss knob remains as a thin shim over a loss-only plan.
+// reordering perturb delivery — all reproducibly from a scenario seed.
 package distnet
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"rfidsched/internal/fault"
 	"rfidsched/internal/graph"
 	"rfidsched/internal/obs"
 )
 
-// Message is a payload in flight between adjacent nodes.
+// All as a Message's To broadcasts it: delivery makes one copy per radio
+// neighbor of the sender, in adjacency order, and every per-copy decision
+// (fault draws, drop events, Stats counters) names the concrete recipient.
+const All = -1
+
+// Message is a payload in flight between adjacent nodes. Payload is an
+// opaque handle the network never interprets.
 type Message struct {
 	From, To int
-	Payload  any
+	Payload  uint64
 }
 
-// Node is the per-reader protocol logic. Implementations receive the round
-// number and this round's inbox and return messages to send (delivered next
-// round). Returning done=true parks the node: Step is no longer called, and
+// Node is the per-reader protocol logic. Step receives the round number
+// and this round's inbox and returns messages to send (delivered next
+// round), the round it next needs a Step without mail, and whether it is
+// done. Returning done=true parks the node: Step is no longer called, and
 // when every node is done the network halts.
+//
+// Wake contract: a live node that is neither crashed nor straggling is
+// stepped in round t iff its inbox is non-empty or t >= wake, where wake is
+// the value its last Step returned (0 before the first). A Step with an
+// empty inbox before wake must therefore be a no-op; returning round+1
+// asks for a Step every round.
 //
 // Buffers are recycled between rounds: the inbox is valid only for the
 // duration of the Step call (copy messages out to keep them), and the
 // network has finished reading a returned outbox before any node's next
-// Step, so a node may reuse its outbox buffer from round to round.
+// Step, so a node may reuse its outbox buffer from round to round. Steps
+// run one at a time in id order, but a Step must not read what another
+// node's Step wrote in the same round: each round is one synchronous step
+// of the whole network, and that order is not part of the model.
 type Node interface {
-	Step(round int, inbox []Message) (outbox []Message, done bool)
+	Step(round int, inbox []Message) (outbox []Message, wake int, done bool)
 }
 
 // Stats summarizes one network run.
 type Stats struct {
 	Rounds        int
-	MessagesSent  int
+	MessagesSent  int // copies transmitted: a broadcast counts once per neighbor
 	MessagesLost  int // dropped by Bernoulli loss injection (subset of MessagesSent)
 	MaxInboxSize  int
 	ParkedAtRound []int // round at which each node declared done (-1 = never)
@@ -75,8 +90,8 @@ type Network struct {
 	plan *fault.Plan
 
 	// tracer receives msg_dropped events; nil traces nothing. Emission
-	// happens in the single-threaded delivery phase, so event order is
-	// deterministic for a fixed seed.
+	// follows delivery order, so event order is deterministic for a fixed
+	// seed.
 	tracer obs.Tracer
 }
 
@@ -99,29 +114,10 @@ func (n *Network) WithTracer(tr obs.Tracer) *Network {
 	return n
 }
 
-// WithLoss enables message-loss injection: every message is independently
-// dropped with probability rate, drawn from draw (a seeded uniform [0,1)
-// source keeps runs reproducible). Dropped messages still count in
-// Stats.MessagesSent — they were transmitted, just not delivered — and are
-// tallied in Stats.MessagesLost. Returns the network for chaining.
-//
-// WithLoss is a shim over WithFaults for the common single-knob case; new
-// code wanting richer failure models should build a fault.Scenario.
-func (n *Network) WithLoss(rate float64, draw func() float64) *Network {
-	if rate <= 0 || draw == nil {
-		return n
-	}
-	plan := fault.MustCompile(fault.Scenario{
-		Events: []fault.Event{fault.Loss(rate, 0, fault.Forever)},
-	}, n.g.N())
-	plan.SetDraw(draw)
-	return n.WithFaults(plan)
-}
-
 // Run drives the nodes until all are done (or permanently crashed) or
-// maxRounds elapses. It returns an error if a node addresses a non-neighbor
-// (a protocol bug: radios cannot reach beyond the interference range) or if
-// maxRounds is exhausted with undone nodes.
+// maxRounds elapses. It returns an error if a node forges its sender or
+// unicasts to a non-neighbor (a protocol bug: radios cannot reach beyond
+// the interference range), or if maxRounds is exhausted with undone nodes.
 //
 // Under a fault plan: permanently crashed nodes are removed from the run
 // (they can never park, so waiting for them would always time out); nodes
@@ -141,13 +137,15 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 	plan := n.plan
 	done := make([]bool, len(nodes))   // parked by protocol decision
 	failed := make([]bool, len(nodes)) // removed by permanent crash
+	wake := make([]int, len(nodes))    // next round each node is due
 	// Inboxes are double-buffered: once a round's Steps are done with
 	// inboxes, delivery refills next, and the two swap.
 	inboxes := make([][]Message, len(nodes))
 	next := make([][]Message, len(nodes))
-	results := make([]stepResult, len(nodes)) // by node id
+	outboxes := make([][]Message, len(nodes)) // this round's, by node id
 	var stepping, stragglers []int
 	var shuffled []Message
+	var unicast [1]int32
 	remaining := len(nodes)
 
 	for round := 0; remaining > 0; round++ {
@@ -156,7 +154,7 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 		}
 		stats.Rounds = round + 1
 
-		// Fault bookkeeping for this round (single-threaded, deterministic).
+		// Fault bookkeeping for this round.
 		if plan != nil {
 			for id := range nodes {
 				if !done[id] && !failed[id] && plan.PermanentlyDown(id, round) {
@@ -176,7 +174,7 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 		crashedNow := func(id int) bool { return plan != nil && plan.Crashed(id, round) }
 
 		stepping, stragglers = stepping[:0], stragglers[:0]
-		for id := range nodes {
+		for id, node := range nodes {
 			if done[id] || failed[id] {
 				continue
 			}
@@ -192,9 +190,22 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 				stragglers = append(stragglers, id)
 				continue
 			}
+			inbox := inboxes[id]
+			if len(inbox) == 0 && round < wake[id] {
+				continue // quiescent: the Step would be a no-op
+			}
+			stats.MaxInboxSize = max(stats.MaxInboxSize, len(inbox))
+			out, w, d := node.Step(round, inbox)
+			outboxes[id], wake[id] = out, w
+			// Park before delivery: a message sent to a node that parks
+			// this same round must not enqueue, regardless of id order.
+			if d {
+				done[id] = true
+				stats.ParkedAtRound[id] = round
+				remaining--
+			}
 			stepping = append(stepping, id)
 		}
-		stepAll(nodes, stepping, inboxes, results, round)
 
 		for id := range next {
 			next[id] = next[id][:0]
@@ -202,50 +213,47 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 		for _, id := range stragglers {
 			next[id] = append(next[id], inboxes[id]...) // unread messages carry over
 		}
-		// Park first, deliver second: a message sent to a node that parked
-		// this same round must not enqueue, regardless of id order.
 		for _, id := range stepping {
-			if l := len(inboxes[id]); l > stats.MaxInboxSize {
-				stats.MaxInboxSize = l
-			}
-			if results[id].done {
-				done[id] = true
-				stats.ParkedAtRound[id] = round
-				remaining--
-			}
-		}
-		for _, id := range stepping {
-			for _, m := range results[id].outbox {
+			for _, m := range outboxes[id] {
 				if m.From != id {
 					return stats, fmt.Errorf("distnet: node %d forged sender %d", id, m.From)
 				}
-				if !n.g.HasEdge(m.From, m.To) {
-					return stats, fmt.Errorf("distnet: node %d sent beyond radio range to %d", m.From, m.To)
+				to := n.g.Neighbors(id)
+				if m.To != All {
+					if !n.g.HasEdge(id, m.To) {
+						return stats, fmt.Errorf("distnet: node %d sent beyond radio range to %d", id, m.To)
+					}
+					unicast[0] = int32(m.To)
+					to = unicast[:]
 				}
-				stats.MessagesSent++
-				switch {
-				case done[m.To] || failed[m.To] || crashedNow(m.To):
-					// Parked or dark recipients never enqueue: delivering
-					// would only grow an inbox nobody reads.
-					stats.UndeliveredDown++
-					if n.tracer != nil {
-						n.tracer.Emit(obs.EvMessageDropped(round, m.From, m.To, "down"))
-					}
-				case plan != nil && plan.Cut(m.From, m.To, round):
-					stats.PartitionDropped++
-					if n.tracer != nil {
-						n.tracer.Emit(obs.EvMessageDropped(round, m.From, m.To, "partition"))
-					}
-				case plan != nil && plan.Drop(round):
-					stats.MessagesLost++
-					if n.tracer != nil {
-						n.tracer.Emit(obs.EvMessageDropped(round, m.From, m.To, "loss"))
-					}
-				default:
-					next[m.To] = append(next[m.To], m)
-					if plan != nil && plan.Duplicated(round) {
-						stats.DuplicatedMessages++
-						next[m.To] = append(next[m.To], m)
+				for _, v := range to {
+					v := int(v)
+					stats.MessagesSent++
+					switch {
+					case done[v] || failed[v] || crashedNow(v):
+						// Parked or dark recipients never enqueue: delivering
+						// would only grow an inbox nobody reads.
+						stats.UndeliveredDown++
+						if n.tracer != nil {
+							n.tracer.Emit(obs.EvMessageDropped(round, id, v, "down"))
+						}
+					case plan != nil && plan.Cut(id, v, round):
+						stats.PartitionDropped++
+						if n.tracer != nil {
+							n.tracer.Emit(obs.EvMessageDropped(round, id, v, "partition"))
+						}
+					case plan != nil && plan.Drop(round):
+						stats.MessagesLost++
+						if n.tracer != nil {
+							n.tracer.Emit(obs.EvMessageDropped(round, id, v, "loss"))
+						}
+					default:
+						c := Message{From: id, To: v, Payload: m.Payload}
+						next[v] = append(next[v], c)
+						if plan != nil && plan.Duplicated(round) {
+							stats.DuplicatedMessages++
+							next[v] = append(next[v], c)
+						}
 					}
 				}
 			}
@@ -254,7 +262,7 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 		// order, and the stable sort only moves a straggler's carried-over
 		// messages among them. Then scripted reordering if a reorder fault
 		// is active.
-		for id, box := range next {
+		for _, box := range next {
 			if len(box) < 2 {
 				continue
 			}
@@ -268,59 +276,8 @@ func (n *Network) Run(nodes []Node, maxRounds int) (*Stats, error) {
 					box[i] = shuffled[j]
 				}
 			}
-			next[id] = box
 		}
 		inboxes, next = next, inboxes
 	}
 	return stats, nil
-}
-
-// stepResult is one node's Step output for the current round.
-type stepResult struct {
-	outbox []Message
-	done   bool
-}
-
-// stepAll runs the Steps of one round on a worker pool of at most
-// GOMAXPROCS goroutines (the caller's included). Each result goes to its
-// node's own slot, so completion order never matters.
-func stepAll(nodes []Node, ids []int, inboxes [][]Message, results []stepResult, round int) {
-	step := func(id int) {
-		out, d := nodes[id].Step(round, inboxes[id])
-		results[id] = stepResult{outbox: out, done: d}
-	}
-	workers := min(runtime.GOMAXPROCS(0), len(ids))
-	if workers < 2 {
-		for _, id := range ids {
-			step(id)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	work := func() {
-		for k := int(cursor.Add(1)) - 1; k < len(ids); k = int(cursor.Add(1)) - 1 {
-			step(ids[k])
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
-// Broadcast appends to out one message per neighbor of from, all carrying
-// payload, and returns the extended slice.
-func Broadcast(out []Message, g *graph.Graph, from int, payload any) []Message {
-	nbrs := g.Neighbors(from)
-	out = slices.Grow(out, len(nbrs))
-	for _, to := range nbrs {
-		out = append(out, Message{From: from, To: int(to), Payload: payload})
-	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"rfidsched/internal/fault"
 	"rfidsched/internal/graph"
@@ -23,18 +22,18 @@ func newChatter(id, peer, lastRound int) *chatter {
 	return &chatter{id: id, peer: peer, lastRound: lastRound, heardAt: -1}
 }
 
-func (c *chatter) Step(round int, inbox []Message) ([]Message, bool) {
+func (c *chatter) Step(round int, inbox []Message) ([]Message, int, bool) {
 	if len(inbox) > 0 && c.heardAt < 0 {
 		c.heardAt = round
 		c.got = append(c.got, inbox...)
 	}
 	if round >= c.lastRound {
-		return nil, true
+		return nil, round + 1, true
 	}
 	if c.peer >= 0 {
-		return []Message{{From: c.id, To: c.peer, Payload: round}}, false
+		return []Message{{From: c.id, To: c.peer, Payload: uint64(round)}}, round + 1, false
 	}
-	return nil, false
+	return nil, round + 1, false
 }
 
 func TestPermanentCrashRemovesNodeAndBlocksFlood(t *testing.T) {
@@ -230,11 +229,12 @@ func TestParkedNodesReceiveNothing(t *testing.T) {
 	}
 }
 
-func TestWithLossShimDropsEverything(t *testing.T) {
+func TestRateOneLossDropsEverything(t *testing.T) {
 	g := mustGraph(t, 2, [][2]int{{0, 1}})
 	sender := newChatter(0, 1, 3)
 	receiver := newChatter(1, -1, 3)
-	stats, err := NewNetwork(g).WithLoss(1.0, func() float64 { return 0 }).Run([]Node{sender, receiver}, 100)
+	plan := fault.MustCompile(fault.Scenario{Events: []fault.Event{fault.Loss(1, 0, fault.Forever)}}, 2)
+	stats, err := NewNetwork(g).WithFaults(plan).Run([]Node{sender, receiver}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,30 +258,26 @@ type digester struct {
 	out           []Message
 }
 
-func (d *digester) Step(round int, inbox []Message) ([]Message, bool) {
-	if d.id%4 == 0 {
-		// Finish late, so pooled completion order differs from id order.
-		time.Sleep(20 * time.Microsecond)
-	}
+func (d *digester) Step(round int, inbox []Message) ([]Message, int, bool) {
 	for i, m := range inbox {
-		d.digest = d.digest*1099511628211 ^ uint64(round)<<40 ^ uint64(m.From)<<20 ^ m.Payload.(uint64) ^ uint64(i)
+		d.digest = d.digest*1099511628211 ^ uint64(round)<<40 ^ uint64(m.From)<<20 ^ m.Payload ^ uint64(i)
 	}
 	if round >= d.lastRound || (round > 4 && d.digest%29 == 0) {
-		return nil, true
+		return nil, round + 1, true
 	}
 	out := d.out[:0]
 	for _, to := range d.g.Neighbors(d.id) {
 		out = append(out, Message{From: d.id, To: int(to), Payload: d.digest + uint64(d.id)})
 	}
 	d.out = out
-	return out, false
+	return out, round + 1, false
 }
 
 // TestRunDeterministicAcrossGOMAXPROCS runs a gossip protocol under a fault
 // plan that exercises every delivery-order hazard (stragglers carrying
 // inboxes over, duplication, reordering, a healing partition, loss and a
 // crash-recover window) and requires identical Stats and per-node digests
-// whether the round's Steps run on one worker or four.
+// at GOMAXPROCS 1 and 4.
 func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	const n = 24
 	var edges [][2]int
