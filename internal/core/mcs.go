@@ -46,9 +46,9 @@ type MCSOptions struct {
 	// against cores. Callers running many trials concurrently should keep
 	// this at 1 so trial-level and solver-level pools do not oversubscribe
 	// (see experiments.Config.SolverWorkers). Distributed (Algorithm 3) has
-	// no knob on purpose: each protocol round already steps its node
-	// programs on a GOMAXPROCS-sized pool, so its inner solvers stay
-	// sequential.
+	// no knob on purpose: a head's local solve runs inside its node's Step
+	// and stays sequential, like the reader controller it models (DESIGN.md
+	// §11).
 	SolverWorkers int
 
 	// SlotDeadline bounds each slot's one-shot computation in wall-clock
