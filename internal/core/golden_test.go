@@ -40,6 +40,13 @@ var goldenSchedules = map[string]goldenMCS{
 	"heterogeneous/alg3": {digest: "61df7ffe40dbed88bdf08b10c5d721892cf1c0376506896979e5e944f76070ea", rounds: 2093, messages: 113335},
 	"survey/alg2":        {digest: "f28dcabc523ca349bb28767f6ef5e524d0050b6cd714a2e859353b7207f12a07"},
 	"downmask/alg1":      {digest: "332b75fba7a507c7186d13d8ad589f360e019796951175b4b92253b0396cc842"},
+
+	"uniform/ghc":             {digest: "7afa465c6dcf2fc9e19f1c3f6fdf9c45344c6d191ae9c60db2cbd377056cf92c"},
+	"uniform/colorwave":       {digest: "9c48a0478f905d528f7e809384de3048751f21d03f12912be75e520851ef4ec2"},
+	"uniform/fallback":        {digest: "0af01b2dc6d8348ed401e16c20a9e32b112690075f5016208681025e8f1c6120"},
+	"heterogeneous/ghc":       {digest: "335297e44cbd6382fbacebf162ac95b922ae6983742c44bbc8e17ff09f1e7608"},
+	"heterogeneous/colorwave": {digest: "edb2fa684ebfd508771f8da7f6b1cf45f7a3a05ef5f5cffd314aa7af0530617a"},
+	"heterogeneous/fallback":  {digest: "ea294f52516c0b397a21b106b5092f191bf190cf2786a898929b1df74ec3cc3b"},
 }
 
 // goldenUniform is a dense uniform deployment whose interrogation radii
@@ -57,6 +64,15 @@ func goldenUniform(t *testing.T) *model.System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// goldenDeployments are the two geometries every golden table is keyed by.
+var goldenDeployments = []struct {
+	name  string
+	build func(*testing.T) *model.System
+}{
+	{"uniform", goldenUniform},
+	{"heterogeneous", goldenHeterogeneous},
 }
 
 // goldenHeterogeneous spreads interference radii over a 16x range
@@ -124,6 +140,10 @@ func goldenRun(t *testing.T, key string, sys *model.System, g *graph.Graph, alg 
 	case "alg3":
 		alg3 = &countingDistributed{Distributed: NewDistributed(g, 1.25)}
 		sched = alg3
+	case "ghc":
+		sched = baseline.GHC{}
+	case "colorwave":
+		sched = baseline.NewColorwave(g, 7)
 	}
 	res, err := RunMCS(sys, sched, MCSOptions{RecordSlots: true, SolverWorkers: workers})
 	if err != nil {
@@ -137,15 +157,8 @@ func goldenRun(t *testing.T, key string, sys *model.System, g *graph.Graph, alg 
 }
 
 func TestGoldenSchedules(t *testing.T) {
-	deployments := []struct {
-		name  string
-		build func(*testing.T) *model.System
-	}{
-		{"uniform", goldenUniform},
-		{"heterogeneous", goldenHeterogeneous},
-	}
-	for _, dep := range deployments {
-		for _, alg := range []string{"alg1", "alg2", "alg3"} {
+	for _, dep := range goldenDeployments {
+		for _, alg := range []string{"alg1", "alg2", "alg3", "ghc", "colorwave"} {
 			key := dep.name + "/" + alg
 			want := goldenSchedules[key]
 			for _, workers := range []int{1, 2, 4} {
@@ -198,6 +211,32 @@ func TestGoldenDownMask(t *testing.T) {
 	}
 }
 
+// nilScheduler never activates anyone, so every schedule it drives is built
+// by the stall guard alone.
+type nilScheduler struct{}
+
+func (nilScheduler) Name() string                         { return "nil" }
+func (nilScheduler) OneShot(*model.System) ([]int, error) { return nil, nil }
+
+// TestGoldenFallback locks the stall guard's greedy feasible set: with
+// StallLimit 1 every second slot is empty and the one after it comes from
+// greedyFallback, which is the PTAS augmentation pass started from nothing.
+func TestGoldenFallback(t *testing.T) {
+	for _, dep := range goldenDeployments {
+		key := dep.name + "/fallback"
+		res, err := RunMCS(dep.build(t), nilScheduler{}, MCSOptions{RecordSlots: true, StallLimit: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if res.Fallbacks == 0 {
+			t.Fatalf("%s: no fallback slot", key)
+		}
+		if got, want := scheduleDigest(res), goldenSchedules[key].digest; got != want {
+			t.Errorf("%s: got digest %q, want %q", key, got, want)
+		}
+	}
+}
+
 // goldenOneShot locks one first-slot solve on the all-unread deployment: the
 // SHA-256 of the sorted set and its weight. Unlike a covering schedule, a
 // one-shot also pins the exact search's answer (baseline.Exact), and the
@@ -224,14 +263,7 @@ func setDigest(set []int) string {
 }
 
 func TestGoldenOneShots(t *testing.T) {
-	deployments := []struct {
-		name  string
-		build func(*testing.T) *model.System
-	}{
-		{"uniform", goldenUniform},
-		{"heterogeneous", goldenHeterogeneous},
-	}
-	for _, dep := range deployments {
+	for _, dep := range goldenDeployments {
 		for _, alg := range []string{"alg1", "alg2", "alg3", "exact"} {
 			key := dep.name + "/" + alg + "/oneshot"
 			for _, workers := range []int{1, 2, 4} {

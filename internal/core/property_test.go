@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,8 @@ import (
 	"rfidsched/internal/graph"
 	"rfidsched/internal/model"
 	"rfidsched/internal/mwfs"
+	"rfidsched/internal/randx"
+	"rfidsched/internal/survey"
 )
 
 // Property-based tests over the paper's algorithms: feasibility and
@@ -188,6 +191,118 @@ func TestPropAugmentSafe(t *testing.T) {
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// refAugmentFeasible is augmentFeasible on brute-force weights: the same
+// greedy (ascending reader index, strict improvement, so the lowest index
+// wins ties), probing each candidate with a full weight recompute.
+func refAugmentFeasible(sys *model.System, X []int) []int {
+	cur := append([]int(nil), X...)
+	curW := sys.Weight(cur)
+	for {
+		bestV, bestW := -1, curW
+		for v := 0; v < sys.NumReaders(); v++ {
+			if slices.Contains(cur, v) || slices.ContainsFunc(cur, func(u int) bool { return !sys.Independent(u, v) }) {
+				continue
+			}
+			if w := curW + sys.MarginalWeightFrom(curW, cur, v); w > bestW {
+				bestV, bestW = v, w
+			}
+		}
+		if bestV < 0 {
+			return cur
+		}
+		cur = append(cur, bestV)
+		curW = bestW
+	}
+}
+
+// refPruneByWeight is pruneByWeight on brute-force weights: each round drops
+// the first position whose removal strictly raises w the most.
+func refPruneByWeight(sys *model.System, X []int) []int {
+	cur := append([]int(nil), X...)
+	curW := sys.Weight(cur)
+	for {
+		bestIdx, bestW := -1, curW
+		for i := range cur {
+			if w := sys.Weight(slices.Delete(slices.Clone(cur), i, i+1)); w > bestW {
+				bestIdx, bestW = i, w
+			}
+		}
+		if bestIdx < 0 {
+			return cur
+		}
+		cur = slices.Delete(cur, bestIdx, bestIdx+1)
+		curW = bestW
+	}
+}
+
+// greedyIndependent returns a maximal set independent in g, built in a
+// random order. On a survey graph that misses real edges the set may hold
+// readers that interfere in the geometry.
+func greedyIndependent(g *graph.Graph, rng *randx.RNG) []int {
+	var X []int
+	for _, v := range rng.Perm(g.N()) {
+		if !slices.ContainsFunc(X, func(u int) bool { return g.HasEdge(u, v) }) {
+			X = append(X, v)
+		}
+	}
+	return X
+}
+
+// The augmentation and pruning passes return exactly the slices of their
+// brute-force references, on instances with read tags and down readers,
+// for arbitrary (possibly infeasible) sets of every small size and for
+// survey-independent sets whose readers may really interfere.
+func TestAugmentAndPruneMatchReference(t *testing.T) {
+	var grown, pruned, interfering int
+	for seed := uint64(1); seed <= 40; seed++ {
+		sys, _ := quickSystem(seed)
+		rng := randx.New(seed)
+		for tg := 0; tg < sys.NumTags(); tg++ {
+			if rng.Bool(0.3) {
+				sys.MarkRead(tg)
+			}
+		}
+		for v := 0; v < sys.NumReaders(); v++ {
+			if rng.Bool(0.15) {
+				sys.SetReaderDown(v, true)
+			}
+		}
+		sets := [][]int{nil}
+		for _, size := range []int{1, 2, 3, 5, 7} {
+			sets = append(sets, rng.Perm(sys.NumReaders())[:size])
+		}
+		sg, _, err := survey.EstimateGraph(sys, survey.Params{ShadowSigma: 6, Samples: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		indep := greedyIndependent(sg, rng)
+		if !sys.IsFeasible(indep) {
+			interfering++
+		}
+		sets = append(sets, indep)
+		for _, X := range sets {
+			got, want := augmentFeasible(sys, X), refAugmentFeasible(sys, X)
+			if !slices.Equal(got, want) {
+				t.Errorf("seed %d: augmentFeasible(%v) = %v, want %v", seed, X, got, want)
+			}
+			if len(want) > len(X) {
+				grown++
+			}
+			got, want = pruneByWeight(sys, X), refPruneByWeight(sys, X)
+			if !slices.Equal(got, want) {
+				t.Errorf("seed %d: pruneByWeight(%v) = %v, want %v", seed, X, got, want)
+			}
+			if len(want) < len(X) {
+				pruned++
+			}
+		}
+	}
+	// The comparison must not be vacuous.
+	if grown == 0 || pruned == 0 || interfering == 0 {
+		t.Errorf("grown %d, pruned %d, interfering survey sets %d: want all > 0", grown, pruned, interfering)
 	}
 }
 
