@@ -26,8 +26,8 @@ obsbench:
 	$(GO) run ./cmd/obsbench -o BENCH_obs.json -history-gate 1000000
 
 # wbench re-archives the incremental weight-engine speedups (brute vs
-# WeightEval ratios) into the committed baseline. Run it when the engine or
-# the benchmark itself changes, and commit the refreshed BENCH_weight.json.
+# compiled-kernel ratios) into the committed baseline. Run it when the engine
+# or the benchmark itself changes, and commit the refreshed BENCH_weight.json.
 wbench:
 	$(GO) run ./cmd/wbench -o BENCH_weight.json
 

@@ -10,10 +10,11 @@
 //     coverage-adjacency and coupling builds of BuildReferenceAdjacency)
 //     versus NewSystem + WarmAdjacency, i.e. everything a driver pays before
 //     its first solve can start,
-//   - clone_speedup: a fresh Clone + NewWeightEval pair versus the pooled
-//     ClonePooled + NewPooledWeightEval cycle at steady state, and
-//   - allocs/op for steady-state Weight and MarginalGain (hard-gated at 0)
-//     and for the pooled clone cycle (hard-gated at a small constant).
+//   - clone_speedup: a fresh Clone versus the pooled ClonePooled + Release
+//     cycle at steady state, and
+//   - allocs/op for steady-state Weight and the local weight kernel's
+//     Push/Pop (hard-gated at 0) and for the pooled clone cycle
+//     (hard-gated at a small constant).
 //
 // Like wbench, the CI gate tracks in-process ratios (self-normalizing across
 // hardware) with a committed margin-shaved floor; the allocation gates are
@@ -53,15 +54,15 @@ type result struct {
 	NewSystemCSRNs   float64 `json:"newsystem_csr_ns"` // CSR NewSystem
 	ConstructRefNs   float64 `json:"construct_ref_ns"` // frozen pre-CSR build + first-solve prep
 	ConstructCSRNs   float64 `json:"construct_csr_ns"` // NewSystem + WarmAdjacency
-	CloneFreshNs     float64 `json:"clone_fresh_ns"`   // Clone + NewWeightEval
+	CloneFreshNs     float64 `json:"clone_fresh_ns"`   // Clone
 	ClonePooledNs    float64 `json:"clone_pooled_ns"`  // pooled cycle, warm pools
 	NewSystemSpeedup float64 `json:"newsystem_speedup"`
 	ConstructSpeedup float64 `json:"construct_speedup"`
 	CloneSpeedup     float64 `json:"clone_speedup"`
 
 	WeightAllocs      float64 `json:"weight_allocs"`       // steady-state System.Weight
-	MarginalAllocs    float64 `json:"marginal_allocs"`     // steady-state eval.MarginalGain
-	AddRemoveAllocs   float64 `json:"add_remove_allocs"`   // steady-state eval Add+Remove
+	MarginalAllocs    float64 `json:"marginal_allocs"`     // steady-state kernel probe (Push, Weight, Pop)
+	AddRemoveAllocs   float64 `json:"add_remove_allocs"`   // steady-state kernel Push+Pop of the probe set
 	PooledCloneAllocs float64 `json:"pooled_clone_allocs"` // ClonePooled+Release cycle
 }
 
@@ -155,11 +156,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		failed++
 	}
 	if res.MarginalAllocs != 0 {
-		fmt.Fprintf(stderr, "corebench: FAIL steady-state MarginalGain allocates %.1f/op, want 0\n", res.MarginalAllocs)
+		fmt.Fprintf(stderr, "corebench: FAIL steady-state kernel probe allocates %.1f/op, want 0\n", res.MarginalAllocs)
 		failed++
 	}
 	if res.AddRemoveAllocs != 0 {
-		fmt.Fprintf(stderr, "corebench: FAIL steady-state Add/Remove allocates %.1f/op, want 0\n", res.AddRemoveAllocs)
+		fmt.Fprintf(stderr, "corebench: FAIL steady-state kernel Push/Pop allocates %.1f/op, want 0\n", res.AddRemoveAllocs)
 		failed++
 	}
 	if res.PooledCloneAllocs > pooledCloneAllocBound {
@@ -247,34 +248,21 @@ func bench(n, m int, seed uint64, iters int) (result, error) {
 	}
 
 	// Clone churn: the per-solve setup of every parallel worker and serving
-	// request — a System clone plus an attached evaluator, dropped right
-	// after. Fresh path allocates O(readers+tags) buffers each cycle; the
-	// pooled path recycles them.
+	// request — a System clone, dropped right after. Fresh path allocates
+	// O(readers+tags) buffers each cycle; the pooled path recycles them.
 	// Single-op windows: the fresh path allocates O(readers+tags) per
 	// cycle, so batched windows are certain to absorb a collection — best-of
 	// over many one-op windows finds the GC-free ones.
 	res.CloneFreshNs = timeOp(iters, 1, func() {
-		c := sys.Clone()
-		e := model.NewWeightEval(c)
-		e.Add(0)
-		e.Close()
+		sys.Clone()
 	})
 	// Collect before timing the pooled path — a collection clears sync.Pools,
 	// and the pooled cycle itself allocates nothing, so flushing first (then
 	// re-warming) keeps pool misses out of every window.
 	runtime.GC()
-	func() {
-		c := sys.ClonePooled()
-		e := model.NewPooledWeightEval(c)
-		e.Close()
-		c.Release()
-	}()
+	sys.ClonePooled().Release()
 	res.ClonePooledNs = timeOp(iters, 50, func() {
-		c := sys.ClonePooled()
-		e := model.NewPooledWeightEval(c)
-		e.Add(0)
-		e.Close()
-		c.Release()
+		sys.ClonePooled().Release()
 	})
 	res.CloneSpeedup = res.CloneFreshNs / res.ClonePooledNs
 
@@ -282,15 +270,25 @@ func bench(n, m int, seed uint64, iters int) (result, error) {
 	X := feasibleProbeSet(sys)
 	sys.Weight(X) // warm scratch
 	res.WeightAllocs = testing.AllocsPerRun(100, func() { sys.Weight(X) })
-	eval := model.NewWeightEval(sys)
-	for _, v := range X {
-		eval.Add(v)
+	// The kernel is compiled over X with no conflict matrix, as the greedy
+	// passes compile it; its first reader is probed on top of the rest.
+	k := model.CompileLocal(sys, nil, X, nil, 0)
+	eval := k.Evals(1)[0]
+	probe, rest := k.LocalIDs()[0], k.LocalIDs()[1:]
+	pushPop := func() {
+		for _, l := range rest {
+			eval.Push(l)
+		}
+		for range rest {
+			eval.Pop()
+		}
 	}
-	probe := n - 1
-	eval.MarginalGain(probe) // warm activeList capacity
-	res.MarginalAllocs = testing.AllocsPerRun(100, func() { eval.MarginalGain(probe) })
-	res.AddRemoveAllocs = testing.AllocsPerRun(100, func() { eval.Add(probe); eval.Remove(probe) })
-	eval.Close()
+	res.AddRemoveAllocs = testing.AllocsPerRun(100, pushPop)
+	for _, l := range rest {
+		eval.Push(l)
+	}
+	res.MarginalAllocs = testing.AllocsPerRun(100, func() { eval.Push(probe); eval.Weight(); eval.Pop() })
+	k.Release()
 	res.PooledCloneAllocs = testing.AllocsPerRun(200, func() {
 		c := sys.ClonePooled()
 		c.Release()

@@ -32,7 +32,7 @@ func TestReportWritesGatesAndPassesAllocGates(t *testing.T) {
 	base := filepath.Join(dir, "base.json")
 
 	// Exit 0 is itself an assertion: the absolute allocation gates (zero
-	// steady-state Weight/MarginalGain/Add+Remove allocs, bounded pooled
+	// steady-state Weight and kernel Push/Pop allocs, bounded pooled
 	// clone cycle) are enforced on every run including this one.
 	code, _, stderr := runCorebench(t, tinyScaleArgs("-o", base)...)
 	if code != 0 {

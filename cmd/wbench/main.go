@@ -1,9 +1,10 @@
 // Command wbench is the weight-engine benchmark and CI regression gate. It
-// times the hottest operations of the repository — Weight, MarginalWeight /
-// MarginalGain, the branch-and-bound mwfs.Solve, and a full greedy-MCS
+// times the hottest operations of the repository — Weight, a marginal-weight
+// probe, the branch-and-bound mwfs.Solve, and a full greedy-MCS
 // schedule — at several (readers, tags) scales, on both the brute-force
-// path and the incremental path (WeightEval; the compiled local kernel
-// inside mwfs.Solve), and archives the numbers as JSON (BENCH_weight.json).
+// path and the incremental path (the compiled local kernel: a Push/Pop
+// probe, inside mwfs.Solve, and behind lazy GHC), and archives the numbers
+// as JSON (BENCH_weight.json).
 //
 // Because absolute ns/op depends on the machine, the CI gate tracks the
 // *speedup ratios* (brute ns / incremental ns), which are measured in the
@@ -43,7 +44,7 @@ type scaleResult struct {
 
 	WeightNs         float64 `json:"weight_ns"`         // brute full-set Weight
 	MarginalBruteNs  float64 `json:"marginal_brute_ns"` // MarginalWeight per probe
-	MarginalIncrNs   float64 `json:"marginal_incr_ns"`  // eval.MarginalGain per probe
+	MarginalIncrNs   float64 `json:"marginal_incr_ns"`  // kernel Push/Pop per probe
 	SolveBruteNs     float64 `json:"solve_brute_ns"`    // mwfs.Solve, BruteForce
 	SolveIncrNs      float64 `json:"solve_incr_ns"`     // mwfs.Solve, incremental
 	MCSBruteNs       float64 `json:"mcs_brute_ns"`      // RunMCS with GHC{Brute}
@@ -189,16 +190,30 @@ func benchScale(readers, tags int, seed uint64, iters int) (scaleResult, error) 
 			sys.MarginalWeightFrom(base, X, v)
 		}
 	}) / float64(readers)
-	eval := model.NewWeightEval(sys)
-	for _, v := range X {
-		eval.Add(v)
+	// The kernel is compiled over X as context and every other reader as a
+	// candidate, each probed alone on top of X.
+	all := make([]int, readers)
+	for i := range all {
+		all[i] = i
+	}
+	k := model.CompileLocal(sys, X, all, nil, 0)
+	eval := k.Evals(1)[0]
+	for i, l := range k.LocalIDs() {
+		v := k.Candidates()[i]
+		got := eval.Push(l) - base
+		eval.Pop()
+		if want := sys.MarginalWeightFrom(base, X, v); got != want {
+			k.Release()
+			return res, fmt.Errorf("marginal of reader %d diverged: kernel %d, brute %d", v, got, want)
+		}
 	}
 	res.MarginalIncrNs = timeOp(iters, 10, func() {
-		for v := 0; v < readers; v++ {
-			eval.MarginalGain(v)
+		for _, l := range k.LocalIDs() {
+			eval.Push(l)
+			eval.Pop()
 		}
-	}) / float64(readers)
-	eval.Close()
+	}) / float64(len(k.LocalIDs()))
+	k.Release()
 	res.MarginalSpeedup = res.MarginalBruteNs / res.MarginalIncrNs
 
 	// Branch-and-bound one-shot solve over the full candidate list, capped

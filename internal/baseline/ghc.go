@@ -22,19 +22,20 @@ import (
 // like the physical system would.
 //
 // The selection loop is a CELF-style lazy priority queue over marginal
-// gains, backed by the incremental model.WeightEval. Classic CELF trusts
-// stale cached gains because a submodular objective only shrinks them; this
-// weight function is NOT submodular (activating a reader that un-cleans a
-// neighbor can *raise* a third reader's gain), so stale entries may
-// understate the truth and pure pop-and-refresh would be unsound. The queue
-// is kept exact by event-driven invalidation instead: adding reader u can
-// only change the gain of readers within two hops of u in the coupling
+// gains, backed by the compiled weight kernel (model.CompileLocal) over all
+// readers: an addition is a Push and a gain probe a Push/Pop. Classic CELF
+// trusts stale cached gains because a submodular objective only shrinks
+// them; this weight function is NOT submodular (activating a reader that
+// un-cleans a neighbor can *raise* a third reader's gain), so stale entries
+// may understate the truth and pure pop-and-refresh would be unsound. The
+// queue is kept exact by event-driven invalidation instead: adding reader u
+// can only change the gain of readers within two hops of u in the coupling
 // graph (System.CouplingNeighbors — interference in either direction or
 // shared coverage), so exactly that 2-hop ball is re-priced per step, each
-// reader in O(Δ) via MarginalGain, and superseded heap entries are skipped
-// on pop (lazy deletion). On the growth-bounded interference graphs of the
-// paper the ball is a small constant, replacing the brute force's n full
-// weight recomputes per step. Schedules are bit-identical to the reference
+// reader by one Push/Pop, and superseded heap entries are skipped on pop
+// (lazy deletion). On the growth-bounded interference graphs of the paper
+// the ball is a small constant, replacing the brute force's n full weight
+// recomputes per step. Schedules are bit-identical to the reference
 // implementation: same gains, same (gain desc, index asc) selection order.
 type GHC struct {
 	// Brute selects with the O(n·|X|·deg) reference scan — a full weight
@@ -124,8 +125,15 @@ func (h *gainHeap) Pop() any {
 // ghcLazy is the lazy-queue implementation; see the GHC doc comment.
 func ghcLazy(sys *model.System) ([]int, error) {
 	n := sys.NumReaders()
-	eval := model.NewPooledWeightEval(sys)
-	defer eval.Close()
+	// GHC activates readers that interfere, so the kernel is compiled with
+	// no conflict matrix: every interference pair is kept.
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+	}
+	k := model.CompileLocal(sys, nil, all, nil, 0)
+	defer k.Release()
+	eval := k.Evals(1)[0]
 
 	cached := make([]int, n)    // current exact gain per candidate
 	version := make([]int32, n) // bumped whenever cached[v] is re-pushed
@@ -144,6 +152,7 @@ func ghcLazy(sys *model.System) ([]int, error) {
 	heap.Init(&h)
 
 	var X []int
+	curW := 0
 	step := int32(0)
 	for h.Len() > 0 {
 		top := heap.Pop(&h).(gainEntry)
@@ -156,7 +165,7 @@ func ghcLazy(sys *model.System) ([]int, error) {
 		u := top.v
 		X = append(X, u)
 		inSet[u] = true
-		eval.Add(u)
+		curW = eval.Push(k.Local(u))
 		step++
 
 		// Re-price the 2-hop coupling ball of u — the only readers whose
@@ -166,7 +175,9 @@ func ghcLazy(sys *model.System) ([]int, error) {
 				return
 			}
 			seen[w] = step
-			if g := eval.MarginalGain(w); g != cached[w] {
+			g := eval.Push(k.Local(w)) - curW
+			eval.Pop()
+			if g != cached[w] {
 				cached[w] = g
 				version[w]++
 				heap.Push(&h, gainEntry{gain: g, v: w, version: version[w]})

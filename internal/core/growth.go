@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"rfidsched/internal/graph"
 	"rfidsched/internal/model"
@@ -144,31 +145,62 @@ func (gr *Growth) OneShot(sys *model.System) ([]int, error) {
 }
 
 // pruneByWeight greedily removes readers from X while doing so strictly
-// increases w(X). The set lives in a WeightEval so each leave-one-out probe
-// is an O(Δ) pop/push instead of a full O(|X|·deg) recompute.
+// increases w(X), the earliest position winning ties. X must hold distinct
+// readers. It may hold readers that really interfere (a survey graph can
+// miss edges), so the weight kernel is compiled with no conflict matrix,
+// keeping every interference pair.
 func pruneByWeight(sys *model.System, X []int) []int {
 	cur := append([]int(nil), X...)
-	eval := model.NewPooledWeightEval(sys)
-	defer eval.Close()
-	for _, v := range cur {
-		eval.Add(v)
+	k := model.CompileLocal(sys, nil, cur, nil, 0)
+	defer k.Release()
+	eval := k.Evals(1)[0]
+	ids := make([]int32, len(cur))
+	for i, v := range cur {
+		ids[i] = k.Local(v)
 	}
-	curW := eval.Weight()
+	curW := sys.Weight(cur)
 	for {
 		bestIdx, bestW := -1, curW
-		for i, v := range cur {
-			eval.Remove(v)
-			if w := eval.Weight(); w > bestW {
+		leaveOneOut(eval, ids, 0, func(i, w int) {
+			if w > bestW {
 				bestIdx, bestW = i, w
 			}
-			eval.Add(v)
-		}
+		})
 		if bestIdx < 0 {
 			return cur
 		}
-		eval.Remove(cur[bestIdx])
-		cur = append(cur[:bestIdx], cur[bestIdx+1:]...)
+		cur = slices.Delete(cur, bestIdx, bestIdx+1)
+		ids = slices.Delete(ids, bestIdx, bestIdx+1)
 		curW = bestW
+	}
+}
+
+// leaveOneOut calls visit(base+i, w) for every i in ascending order, where w
+// is the weight with all of ids but ids[i] pushed onto e. Pushing one half
+// and recursing into the other costs O(n log n) pushes for n ids instead of
+// the O(n²) of pushing each leave-one-out set afresh.
+func leaveOneOut(e *model.LocalEval, ids []int32, base int, visit func(i, w int)) {
+	switch len(ids) {
+	case 0:
+		return
+	case 1:
+		visit(base, e.Weight())
+		return
+	}
+	mid := len(ids) / 2
+	for _, l := range ids[mid:] {
+		e.Push(l)
+	}
+	leaveOneOut(e, ids[:mid], base, visit)
+	for range ids[mid:] {
+		e.Pop()
+	}
+	for _, l := range ids[:mid] {
+		e.Push(l)
+	}
+	leaveOneOut(e, ids[mid:], base+mid, visit)
+	for range ids[:mid] {
+		e.Pop()
 	}
 }
 

@@ -222,45 +222,50 @@ func (p *PTAS) OneShot(sys *model.System) ([]int, error) {
 }
 
 // augmentFeasible greedily extends X with readers that keep the set
-// feasible and strictly increase its weight, largest marginal first. The
-// working set is held in a WeightEval so each candidate probe costs O(Δ)
-// (MarginalGain) rather than a full weight recompute — this is both the
-// PTAS augmentation pass and the covering-schedule stall fallback, so it
-// sits on the hot path of every driver.
+// feasible and strictly increase its weight, largest marginal first, the
+// lowest index winning ties. This is both the PTAS augmentation pass and the
+// covering-schedule stall fallback, so it sits on the hot path of every
+// driver. Only readers independent of X can ever join, so the weight kernel
+// is compiled over X plus just those; two of them are only active together
+// when independent, so the pairs the kernel drops never matter, and each
+// probe is a Push/Pop instead of a full weight recompute.
 func augmentFeasible(sys *model.System, X []int) []int {
-	in := make([]bool, sys.NumReaders())
-	eval := model.NewPooledWeightEval(sys)
-	defer eval.Close()
 	// Feasibility against the working set is a word-AND over the conflict
-	// bitsets (identical verdicts to the pairwise Independent loop), so each
-	// candidate probe is O(n/64) instead of O(|cur|) predicate calls.
+	// bitsets (identical verdicts to the pairwise Independent loop); the
+	// self bit keeps members of the set out.
 	conf, confW := sys.ConflictBits()
 	curBits := make([]uint64, confW)
 	for _, v := range X {
-		in[v] = true
 		curBits[uint(v)>>6] |= 1 << (uint(v) & 63)
-		eval.Add(v)
 	}
+	feasible := func(v int) bool {
+		for k, wd := range conf[v*confW : (v+1)*confW] {
+			if wd&curBits[k] != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	var cand []int
+	for v := 0; v < sys.NumReaders(); v++ {
+		if feasible(v) {
+			cand = append(cand, v)
+		}
+	}
+	k := model.CompileLocal(sys, X, cand, conf, confW)
+	defer k.Release()
+	eval := k.Evals(1)[0]
 	cur := append([]int(nil), X...)
 	curW := eval.Weight()
 	for {
 		bestV, bestW := -1, curW
-		for v := 0; v < sys.NumReaders(); v++ {
-			if in[v] {
+		for _, v := range cand {
+			if !feasible(v) {
 				continue
 			}
-			row := conf[v*confW : (v+1)*confW]
-			feasible := true
-			for k, wd := range row {
-				if wd&curBits[k] != 0 {
-					feasible = false
-					break
-				}
-			}
-			if !feasible {
-				continue
-			}
-			if w := curW + eval.MarginalGain(v); w > bestW {
+			w := eval.Push(k.Local(v))
+			eval.Pop()
+			if w > bestW {
 				bestV, bestW = v, w
 			}
 		}
@@ -268,10 +273,8 @@ func augmentFeasible(sys *model.System, X []int) []int {
 			return cur
 		}
 		cur = append(cur, bestV)
-		in[bestV] = true
 		curBits[uint(bestV)>>6] |= 1 << (uint(bestV) & 63)
-		eval.Add(bestV)
-		curW = bestW
+		curW = eval.Push(k.Local(bestV))
 	}
 }
 

@@ -5,11 +5,11 @@ import "math/bits"
 // csr is a compressed-sparse-row adjacency relation: one flat backing array
 // of int32 values plus a rows+1 offset table. Every per-reader / per-tag
 // relation in the geometry core (tagsOf, readersOf, interOut, interIn,
-// covAdj, nbr) is stored this way so the hot solve loops — WeightEval
-// Add/Remove/MarginalGain, the branch-and-bound push/pop, GHC's lazy gain
-// re-pricing — walk one contiguous allocation instead of chasing a slice
-// header per row. Rows are sorted ascending, matching the pre-CSR [][]int32
-// layout element for element (the bit-identical-schedules contract).
+// covAdj, nbr) is stored this way so the hot loops — compiling a local
+// weight kernel, GHC's 2-hop invalidation walk — walk one contiguous
+// allocation instead of chasing a slice header per row. Rows are sorted
+// ascending, matching the pre-CSR [][]int32 layout element for element (the
+// bit-identical-schedules contract).
 //
 // A csr is immutable after construction and shared by every clone of a
 // System.

@@ -1,11 +1,12 @@
 package model
 
-// This file implements the compiled local weight kernel behind every
-// branch-and-bound MWFS solve (package mwfs). A local solve touches a
+// This file implements the compiled local weight kernel, the one incremental
+// engine for w(X): every branch-and-bound MWFS solve (package mwfs) and the
+// greedy passes (GHC, PTAS augmentation, Growth pruning) run on it. The
+// brute-force Weight of weight.go stays the reference. A local solve touches a
 // handful of readers — a PTAS square, a growth ball Γ_r(v), an elected
-// head's neighbourhood — plus the readers already committed around them,
-// yet WeightEval walks per-tag counter arrays sized to the whole deployment
-// and interference rows that feasible search sets never activate. The
+// head's neighbourhood — plus the readers already committed around them, so
+// per-tag counters sized to the whole deployment would mostly sit idle. The
 // kernel instead compiles, once per solve, just what w(X ∪ ctx) can depend
 // on:
 //
@@ -15,7 +16,7 @@ package model
 //   - interference lists restricted to local readers that can ever be
 //     active together: pairs of candidates that conflict are never both
 //     searched, so they are dropped; context readers are always active and
-//     keep every pair.
+//     keep every pair, and so does every pair under a nil conflict matrix.
 //   - one conflict row per candidate position, in position space, for the
 //     search's conflict-aware bound: row i marks the later positions that
 //     including cand[i] rules out (BlockRows).
@@ -66,13 +67,16 @@ type LocalKernel struct {
 
 	evals []*LocalEval // evaluators of this instance, reused across compiles
 
-	// Compile scratch. readerLocal and tagLocal map global indices to local
-	// ones and are all -1 between compiles; acc is all zero.
+	// readerLocal maps global reader indices to local ones (Local); it is
+	// all -1 while the kernel sits in the pool.
 	readerLocal []int32
-	tagLocal    []int32
-	tagGlob     []int32
-	acc         []uint64
-	accWords    []int32
+
+	// Compile scratch. tagLocal maps global tag indices to local ones and is
+	// all -1 between compiles; acc is all zero.
+	tagLocal []int32
+	tagGlob  []int32
+	acc      []uint64
+	accWords []int32
 }
 
 // covPair is one word of a reader's coverage bitset over the local tags.
@@ -90,6 +94,13 @@ type covPair struct {
 // good sets come early and the search's bound bites. Duplicate candidates
 // share one local reader, and the self bit blocks the later copy once the
 // first is included.
+//
+// A nil conf means no pair is known to conflict: every interference pair
+// between live local readers is kept, so any set of distinct candidates,
+// interfering or not, may be pushed together, and BlockRows are all zero.
+// The greedy passes (GHC, PTAS augmentation, Growth pruning) compile this
+// way when their sets may hold readers that interfere; candidates must then
+// be distinct.
 //
 // The kernel is drawn from a per-geometry pool; Release returns it.
 func CompileLocal(sys *System, ctx, candidates []int, conf []uint64, confW int) *LocalKernel {
@@ -136,10 +147,6 @@ func CompileLocal(sys *System, ctx, candidates []int, conf []uint64, confW int) 
 	k.compileRows(conf, confW)
 	k.compileCoverage(sys)
 	k.compileInterference(sys, conf, confW)
-
-	for _, g := range k.glob {
-		k.readerLocal[g] = -1
-	}
 	return k
 }
 
@@ -153,6 +160,9 @@ func (k *LocalKernel) compileRows(conf []uint64, confW int) {
 	n := len(k.cand)
 	k.rowW = (n + 63) / 64
 	k.rows = zeroed(k.rows, n*k.rowW)
+	if conf == nil {
+		return
+	}
 	for j, v := range k.cand {
 		row := conf[v*confW : (v+1)*confW]
 		for i, u := range k.cand[:j] {
@@ -204,7 +214,8 @@ func (k *LocalKernel) compileCoverage(sys *System) {
 // compileInterference keeps the directed interference pairs between live
 // local readers that can be active together. Two candidates whose conflict
 // bits are set both ways are never both in a searched set, so their pair is
-// dropped; a pair involving a context reader is always kept.
+// dropped; a pair involving a context reader, or any pair under a nil conf,
+// is always kept.
 func (k *LocalKernel) compileInterference(sys *System, conf []uint64, confW int) {
 	out, in := sys.interAdj()
 	k.inOff, k.inDat = k.compileLists(sys, in, conf, confW, k.inOff, k.inDat)
@@ -220,7 +231,7 @@ func (k *LocalKernel) compileLists(sys *System, rel csr, conf []uint64, confW in
 				if lu < 0 || sys.isDown(int(u)) {
 					continue
 				}
-				if l >= k.nCtx && int(lu) >= k.nCtx && hasBit(conf[int(g)*confW:], int(u)) && hasBit(conf[int(u)*confW:], int(g)) {
+				if conf != nil && l >= k.nCtx && int(lu) >= k.nCtx && hasBit(conf[int(g)*confW:], int(u)) && hasBit(conf[int(u)*confW:], int(g)) {
 					continue
 				}
 				dat = append(dat, lu)
@@ -251,6 +262,11 @@ func (k *LocalKernel) Candidates() []int { return k.cand }
 // LocalIDs returns, per entry of Candidates, the local reader index to Push.
 // Callers must not mutate it.
 func (k *LocalKernel) LocalIDs() []int32 { return k.loc }
+
+// Local returns the local index of global reader v: for a candidate, the
+// value to Push. It is -1 for a reader that is neither a candidate nor in
+// the context.
+func (k *LocalKernel) Local(v int) int32 { return k.readerLocal[v] }
 
 // Singles returns, per entry of Candidates, its singleton weight: by
 // subadditivity no reader adds more than this to any set. Callers must not
@@ -311,6 +327,9 @@ func zeroed[T any](a []T, n int) []T {
 // Release returns the kernel, and every evaluator drawn from it, to the
 // pool. Neither may be used afterwards.
 func (k *LocalKernel) Release() {
+	for _, g := range k.glob {
+		k.readerLocal[g] = -1
+	}
 	k.adj.localPool.Put(k)
 }
 

@@ -16,10 +16,13 @@ import (
 // localCase is one randomized kernel instance: heterogeneous radii, read
 // tags, down readers, a context with duplicates and out-of-range entries,
 // duplicate candidates, and a survey-style conflict matrix that misses some
-// geometric conflicts.
+// geometric conflicts. With nilConf the kernel is compiled with no matrix,
+// as the greedy passes do: candidates are distinct and any of them may be
+// pushed together, interfering or not.
 type localCase struct {
 	readers, tags int
 	dropPct       int // percent of geometric conflicts the matrix misses
+	nilConf       bool
 	steps         int
 }
 
@@ -81,7 +84,7 @@ func runLocalCase(t *testing.T, seed uint64, c localCase) (states, dirty int) {
 			}
 		case rng.Bool(0.7):
 			cands = append(cands, v)
-			if rng.Bool(0.1) {
+			if !c.nilConf && rng.Bool(0.1) {
 				cands = append(cands, v) // duplicate candidate: one local reader
 			}
 		}
@@ -94,9 +97,19 @@ func runLocalCase(t *testing.T, seed uint64, c localCase) (states, dirty int) {
 	}
 	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 
-	k := CompileLocal(sys, ctx, cands, conf, w)
+	compileConf := conf
+	if c.nilConf {
+		// Pushes are then chosen by the self bits alone: a reader is never
+		// pushed twice, but readers that interfere are pushed together.
+		compileConf = nil
+		clear(conf)
+		for v := 0; v < n; v++ {
+			conf[v*w+v>>6] |= 1 << (uint(v) & 63)
+		}
+	}
+	k := CompileLocal(sys, ctx, cands, compileConf, w)
 	defer k.Release()
-	checkLocalOrder(t, sys, k, ctx, cands, conf, w)
+	checkLocalOrder(t, sys, k, ctx, cands, compileConf, w)
 
 	var dedupCtx []int
 	for _, g := range k.Context() {
@@ -159,8 +172,9 @@ func runLocalCase(t *testing.T, seed uint64, c localCase) (states, dirty int) {
 
 // checkLocalOrder pins the compile pass's candidate handling: out-of-range
 // and context candidates dropped, heaviest singleton first with ties by
-// index, local ids after the context, singleton weights, and the block
-// rows read in the direction the search asks (cand[j]'s row holds cand[i]).
+// index, local ids after the context (and Local agreeing with them),
+// singleton weights, and the block rows read in the direction the search
+// asks (cand[j]'s row holds cand[i]), all zero under a nil conf.
 func checkLocalOrder(t *testing.T, sys *System, k *LocalKernel, ctx, cands []int, conf []uint64, confW int) {
 	t.Helper()
 	inCtx := map[int]bool{}
@@ -182,16 +196,21 @@ func checkLocalOrder(t *testing.T, sys *System, k *LocalKernel, ctx, cands []int
 	if !slices.Equal(k.Candidates(), want) {
 		t.Fatalf("candidates %v, want %v", k.Candidates(), want)
 	}
+	for v := 0; v < sys.NumReaders(); v++ {
+		if !inCtx[v] && !slices.Contains(want, v) && k.Local(v) != -1 {
+			t.Fatalf("reader %d is not local, Local %d", v, k.Local(v))
+		}
+	}
 	rows, stride := k.BlockRows()
 	for i := range want {
 		if got := k.Singles()[i]; got != sys.SingletonWeight(want[i]) {
 			t.Fatalf("single[%d] = %d, want %d", i, got, sys.SingletonWeight(want[i]))
 		}
-		if l := int(k.LocalIDs()[i]); l < len(k.Context()) {
-			t.Fatalf("candidate %d has context local id %d", want[i], l)
+		if l := int(k.LocalIDs()[i]); l < len(k.Context()) || k.Local(want[i]) != k.LocalIDs()[i] {
+			t.Fatalf("candidate %d has local id %d, Local %d, want one past the context", want[i], l, k.Local(want[i]))
 		}
 		for j := range want {
-			wantBit := j > i && hasBit(conf[want[j]*confW:], want[i])
+			wantBit := conf != nil && j > i && hasBit(conf[want[j]*confW:], want[i])
 			if got := hasBit(rows[i*stride:], j); got != wantBit {
 				t.Fatalf("block row %d bit %d = %t, want %t", i, j, got, wantBit)
 			}
@@ -202,7 +221,7 @@ func checkLocalOrder(t *testing.T, sys *System, k *LocalKernel, ctx, cands []int
 func TestLocalKernelMatchesWeight(t *testing.T) {
 	states, dirty := 0, 0
 	for trial := 0; trial < 300; trial++ {
-		c := localCase{readers: 8 + trial%24, tags: 40 + 7*(trial%30), dropPct: []int{0, 30, 70, 100}[trial%4], steps: 120}
+		c := localCase{readers: 8 + trial%24, tags: 40 + 7*(trial%30), dropPct: []int{0, 30, 70, 100}[trial%4], nilConf: trial%5 == 4, steps: 120}
 		s, d := runLocalCase(t, uint64(5100+trial), c)
 		states += s
 		dirty += d
@@ -246,14 +265,16 @@ func dedup(a []int) []int {
 }
 
 func FuzzLocalWeight(f *testing.F) {
-	f.Add(uint64(1), uint8(12), uint8(80), uint8(50))
-	f.Add(uint64(2), uint8(30), uint8(200), uint8(100))
-	f.Add(uint64(3), uint8(3), uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, seed uint64, readers, tags, drop uint8) {
+	f.Add(uint64(1), uint8(12), uint8(80), uint8(50), false)
+	f.Add(uint64(2), uint8(30), uint8(200), uint8(100), false)
+	f.Add(uint64(3), uint8(3), uint8(0), uint8(0), false)
+	f.Add(uint64(4), uint8(25), uint8(150), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed uint64, readers, tags, drop uint8, nilConf bool) {
 		runLocalCase(t, seed, localCase{
 			readers: 1 + int(readers)%40,
 			tags:    int(tags),
 			dropPct: int(drop) % 101,
+			nilConf: nilConf,
 			steps:   80,
 		})
 	})

@@ -3,27 +3,21 @@ package model
 // Pooled solve scratch. The steady state of every driver — RunMCS calling a
 // scheduler per slot, the parallel branch-and-bound building per-worker
 // clones per solve, the serving daemon verifying per request — used to
-// allocate a fresh System clone and WeightEval each time, only to drop them
-// microseconds later. The pools here recycle both. They live on the
-// adjCache, i.e. one pool pair per geometry, which guarantees a recycled
-// object always matches the reader/tag counts of the System it is
-// reattached to (clones share the adjCache pointer, so a clone's scratch
-// returns to the same pool its siblings draw from).
+// allocate a fresh System clone each time, only to drop it microseconds
+// later. The clone pool here recycles them; the local weight kernels have
+// their own pool (local.go). Both live on the adjCache, i.e. one pair per
+// geometry, which guarantees a recycled object always matches the
+// reader/tag counts of the System it is reattached to (clones share the
+// adjCache pointer, so a clone's scratch returns to the same pool its
+// siblings draw from).
 //
 // Ownership rules (DESIGN.md §15):
 //
 //   - ClonePooled hands the caller exclusive ownership of the clone; the
 //     caller — and only the caller — returns it with Release, after which
 //     the clone must not be touched.
-//   - A clone with attached WeightEvals is never recycled: Close every
-//     evaluator first (Release quietly refuses otherwise, so a forgotten
-//     eval degrades to garbage-collected memory, never to aliased state).
-//   - A WeightEval from NewPooledWeightEval is returned by its own Close,
-//     which drains the activation set back to zero counters before
-//     recycling. Closing is idempotent either way.
-//   - Release/Close must not race with in-flight operations on the same
-//     object (the System/WeightEval single-goroutine contract already
-//     forbids that).
+//   - Release must not race with in-flight operations on the same clone
+//     (the System single-goroutine contract already forbids that).
 
 // ClonePooled is Clone backed by the geometry's clone pool: identical
 // semantics and bit-identical downstream behavior, but the read/down/scratch
@@ -55,49 +49,17 @@ func (s *System) ClonePooled() *System {
 	// release-time invariant (the weight paths re-zero their scratch on
 	// every exit), so only the live state above needs copying.
 	c.touched = c.touched[:0]
-	c.evals = c.evals[:0]
 	c.pooled = true
 	return c
 }
 
 // Release returns a clone obtained from ClonePooled to its geometry's pool.
-// No-op for ordinary Clones, for the original System, for double releases,
-// and for clones that still have WeightEvals attached (close them first —
-// see the ownership rules above).
+// No-op for ordinary Clones, for the original System and for double
+// releases.
 func (s *System) Release() {
-	if !s.pooled || len(s.evals) != 0 {
+	if !s.pooled {
 		return
 	}
 	s.pooled = false
 	s.adj.clonePool.Put(s)
-}
-
-// NewPooledWeightEval is NewWeightEval backed by the geometry's evaluator
-// pool: same observable behavior, but the counter slices are recycled from
-// previously Closed pooled evaluators. The pool hands back evaluators with
-// an empty activation set and all-zero counters (Close drains them), which
-// is a valid state for any read/down configuration of sys, so reattachment
-// is O(1).
-func NewPooledWeightEval(sys *System) *WeightEval {
-	if v := sys.adj.evalPool.Get(); v != nil {
-		e := v.(*WeightEval)
-		e.sys = sys
-		e.closed = false
-		sys.attach(e)
-		return e
-	}
-	e := NewWeightEval(sys)
-	e.pooled = true
-	return e
-}
-
-// closePooled drains the activation set (driving every counter back to
-// zero by exact inverse updates), detaches, and recycles the evaluator.
-func (e *WeightEval) closePooled() {
-	e.Reset()
-	e.closed = true
-	pool := &e.sys.adj.evalPool
-	e.sys.detach(e)
-	e.sys = nil
-	pool.Put(e)
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // Allocation-regression tests: the hot query paths must be allocation-free
-// at steady state, and the pooled clone/eval paths must stay within a fixed
-// bound once their pools are warm. These are the machine-checked half of the
-// corebench gates.
+// at steady state, and the pooled clone and kernel paths must stay within a
+// fixed bound once their pools are warm. These are the machine-checked half
+// of the corebench gates.
 
 func TestZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
@@ -30,19 +30,25 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("System.IsFeasible allocates %v per op, want 0", a)
 	}
 
-	eval := NewWeightEval(sys)
-	defer eval.Close()
-	for _, v := range X {
-		eval.Add(v)
+	// The kernel is compiled with no conflict matrix, as the greedy passes
+	// do, so interfering readers are pushed together and Weight pays its
+	// correction term.
+	all := make([]int, sys.NumReaders())
+	for v := range all {
+		all[v] = v
 	}
-	// Warm once so activeList reaches its steady capacity.
-	eval.Add(50)
-	eval.Remove(50)
-	if a := testing.AllocsPerRun(100, func() { eval.Add(50); eval.Remove(50) }); a != 0 {
-		t.Errorf("WeightEval Add/Remove allocates %v per op, want 0", a)
+	k := CompileLocal(sys, nil, all, nil, 0)
+	defer k.Release()
+	eval := k.Evals(1)[0]
+	ids := k.LocalIDs()
+	for _, l := range ids[1:] {
+		eval.Push(l)
 	}
-	if a := testing.AllocsPerRun(100, func() { eval.MarginalGain(50) }); a != 0 {
-		t.Errorf("WeightEval.MarginalGain allocates %v per op, want 0", a)
+	if len(eval.dirty) == 0 {
+		t.Fatal("no pushed reader is interfered with")
+	}
+	if a := testing.AllocsPerRun(100, func() { eval.Push(ids[0]); _ = eval.Weight(); eval.Pop() }); a != 0 {
+		t.Errorf("LocalEval Push/Weight/Pop allocates %v per op, want 0", a)
 	}
 }
 
@@ -52,31 +58,28 @@ func TestPooledCloneAllocBound(t *testing.T) {
 	}
 	_, _, sys := genSpreadSystem(13, 60, 400, 1)
 	sys.WarmAdjacency()
-	// Warm the pools.
-	c := sys.ClonePooled()
-	e := NewPooledWeightEval(c)
-	e.Close()
-	c.Release()
+	cands := []int{3, 7, 11}
+	cycle := func() {
+		c := sys.ClonePooled()
+		k := CompileLocal(c, nil, cands, nil, 0)
+		k.Evals(1)[0].Push(k.LocalIDs()[0])
+		k.Release()
+		c.Release()
+	}
+	cycle() // warm the pools
 
 	// sync.Pool puts may allocate a per-P slot container on first use, so the
 	// bound is a small constant rather than exactly zero; the point of the
 	// gate is that the O(readers+tags) buffer allocations of a fresh Clone
-	// and NewWeightEval are gone.
+	// and a fresh kernel are gone.
 	if a := testing.AllocsPerRun(200, func() {
 		c := sys.ClonePooled()
 		c.Release()
 	}); a > 1 {
 		t.Errorf("pooled Clone/Release allocates %v per op, want <= 1", a)
 	}
-	if a := testing.AllocsPerRun(200, func() {
-		c := sys.ClonePooled()
-		e := NewPooledWeightEval(c)
-		e.Add(3)
-		_ = e.Weight()
-		e.Close()
-		c.Release()
-	}); a > 2 {
-		t.Errorf("pooled clone+eval cycle allocates %v per op, want <= 2", a)
+	if a := testing.AllocsPerRun(200, cycle); a > 2 {
+		t.Errorf("pooled clone+kernel cycle allocates %v per op, want <= 2", a)
 	}
 }
 
@@ -122,55 +125,19 @@ func TestClonePooledMatchesClone(t *testing.T) {
 	}
 }
 
-// A pooled evaluator must report the same weights as a fresh one across a
-// random op sequence, including after recycling.
-func TestPooledWeightEvalMatchesFresh(t *testing.T) {
-	_, _, sys := genSpreadSystem(21, 35, 200, 1)
-	for round := 0; round < 4; round++ {
-		rng := randx.New(uint64(round) * 1337)
-		fresh := NewWeightEval(sys)
-		pooled := NewPooledWeightEval(sys)
-		for i := 0; i < 200; i++ {
-			v := int(rng.Intn(sys.NumReaders()))
-			if rng.Bool(0.5) {
-				fresh.Add(v)
-				pooled.Add(v)
-			} else {
-				fresh.Remove(v)
-				pooled.Remove(v)
-			}
-			if fresh.Weight() != pooled.Weight() {
-				t.Fatalf("round %d op %d: pooled weight %d != fresh %d", round, i, pooled.Weight(), fresh.Weight())
-			}
-			if g := int(rng.Intn(sys.NumReaders())); fresh.MarginalGain(g) != pooled.MarginalGain(g) {
-				t.Fatalf("round %d op %d: MarginalGain diverges", round, i)
-			}
-		}
-		fresh.Close()
-		pooled.Close() // recycles; next round's Get must see zeroed counters
-	}
-}
-
-// Release must refuse clones that still have evaluators attached, and
-// Close/Release must be idempotent.
+// Release must be idempotent and must never recycle the original System.
 func TestPoolOwnershipGuards(t *testing.T) {
 	_, _, sys := genSpreadSystem(31, 20, 80, 1)
 	c := sys.ClonePooled()
-	e := NewPooledWeightEval(c)
-	c.Release() // must refuse: evaluator still attached
-	c2 := sys.ClonePooled()
-	if c2 == c {
-		t.Fatal("Release recycled a clone with a live evaluator")
-	}
-	e.Add(1)
-	if e.Weight() < 0 {
-		t.Fatal("evaluator unusable after refused Release")
-	}
-	e.Close()
-	e.Close() // idempotent
 	c.Release()
 	c.Release() // idempotent
+	c2 := sys.ClonePooled()
+	c3 := sys.ClonePooled()
+	if c2 == c3 {
+		t.Fatal("a double Release handed one clone out twice")
+	}
 	c2.Release()
+	c3.Release()
 
 	// The original System is never pooled.
 	sys.Release()
@@ -192,17 +159,16 @@ func TestPoolConcurrentUse(t *testing.T) {
 			rng := randx.New(uint64(g) + 1)
 			for i := 0; i < 50; i++ {
 				c := sys.ClonePooled()
-				e := NewPooledWeightEval(c)
-				for j := 0; j < 20; j++ {
-					v := int(rng.Intn(c.NumReaders()))
+				c.MarkRead(int(rng.Intn(c.NumTags())))
+				k := CompileLocal(c, nil, rng.Perm(c.NumReaders())[:20], nil, 0)
+				e := k.Evals(1)[0]
+				for _, l := range k.LocalIDs() {
 					if rng.Bool(0.5) {
-						e.Add(v)
-					} else {
-						e.Remove(v)
+						e.Push(l)
 					}
 					_ = e.Weight()
 				}
-				e.Close()
+				k.Release()
 				c.Release()
 			}
 		}(g)

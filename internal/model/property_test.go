@@ -242,3 +242,41 @@ func TestPropCloneEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSingletonWeightCounterConsistency pins the O(1) singleton counter to
+// the definitional scan under read churn, resets, clones, and down masks.
+func TestSingletonWeightCounterConsistency(t *testing.T) {
+	sys := genSystem(123, 12, 80)
+	rng := randx.New(321)
+	scan := func(s *System, v int) int {
+		if s.ReaderDown(v) {
+			return 0
+		}
+		w := 0
+		for _, tg := range s.TagsOf(v) {
+			if !s.IsRead(int(tg)) {
+				w++
+			}
+		}
+		return w
+	}
+	check := func(s *System, ctx string) {
+		t.Helper()
+		for v := 0; v < s.NumReaders(); v++ {
+			if got, want := s.SingletonWeight(v), scan(s, v); got != want {
+				t.Fatalf("%s: SingletonWeight(%d)=%d scan=%d", ctx, v, got, want)
+			}
+		}
+	}
+	check(sys, "fresh")
+	for i := 0; i < 40; i++ {
+		sys.MarkRead(rng.Intn(sys.NumTags()))
+	}
+	sys.SetReaderDown(3, true)
+	check(sys, "churned")
+	c := sys.Clone()
+	c.MarkRead(0)
+	check(c, "clone")
+	sys.ResetReads()
+	check(sys, "reset")
+}

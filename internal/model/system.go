@@ -51,12 +51,8 @@ type System struct {
 	pooled bool
 
 	// adj caches interference/coverage adjacency shared by all clones (the
-	// geometry is immutable); see weighteval.go.
+	// geometry is immutable); see adjacency.go.
 	adj *adjCache
-
-	// evals are the attached incremental evaluators, notified on read-state
-	// and down-mask transitions; see weighteval.go. Not carried by Clone.
-	evals []*WeightEval
 }
 
 // NewSystem builds a system from readers and tags, precomputing coverage
@@ -242,9 +238,6 @@ func (s *System) MarkRead(t int) {
 		for _, r := range s.readersOf.row(t) {
 			s.unreadOf[r]--
 		}
-		for _, e := range s.evals {
-			e.onTagRead(t)
-		}
 	}
 }
 
@@ -256,9 +249,6 @@ func (s *System) ResetReads() {
 	s.unreadCount = len(s.tags)
 	for i := range s.unreadOf {
 		s.unreadOf[i] = int32(s.tagsOf.rowLen(i))
-	}
-	for _, e := range s.evals {
-		e.onResetReads()
 	}
 }
 
@@ -278,25 +268,6 @@ func (s *System) SetReaderDown(i int, down bool) {
 		s.downCount++
 	} else {
 		s.downCount--
-	}
-	for _, e := range s.evals {
-		e.onReaderDown(i, down)
-	}
-}
-
-// attach registers an incremental evaluator for state-change notifications.
-func (s *System) attach(e *WeightEval) { s.evals = append(s.evals, e) }
-
-// detach unregisters an evaluator (swap-remove; order is irrelevant).
-func (s *System) detach(e *WeightEval) {
-	for i, x := range s.evals {
-		if x == e {
-			last := len(s.evals) - 1
-			s.evals[i] = s.evals[last]
-			s.evals[last] = nil
-			s.evals = s.evals[:last]
-			return
-		}
 	}
 }
 
@@ -349,8 +320,7 @@ func (s *System) CoverableCount() int {
 
 // Clone returns a deep copy sharing the immutable geometry (including the
 // lazily-built adjacency cache) but owning its own read-state and scratch
-// buffers, so clones can run on separate goroutines. Attached WeightEvals
-// are not carried over: an evaluator observes exactly one System.
+// buffers, so clones can run on separate goroutines.
 func (s *System) Clone() *System {
 	c := &System{
 		readers:     s.readers,

@@ -116,8 +116,9 @@ func (s *System) resetClean(X []int) {
 // destroy previously well-covered tags through RRc overlap or RTc.
 //
 // Greedy loops probing many candidates against the same X should cache
-// base = Weight(X) once and call MarginalWeightFrom, or better, hold the
-// set in a WeightEval and use its O(Δ) MarginalGain.
+// base = Weight(X) once and call MarginalWeightFrom, or better, compile a
+// local weight kernel (CompileLocal) and probe each candidate with one
+// Push/Pop.
 func (s *System) MarginalWeight(X []int, v int) int {
 	return s.MarginalWeightFrom(s.Weight(X), X, v)
 }

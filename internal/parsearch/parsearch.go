@@ -48,7 +48,7 @@ func Normalize(workers int) int {
 // tasks over the given number of pool workers. Workers claim tasks through a
 // shared atomic counter, so each task runs exactly once, on exactly one
 // worker; the worker index lets callers give each goroutine private scratch
-// state (a System clone, a WeightEval) allocated up front.
+// state (a System clone, a kernel evaluator) allocated up front.
 //
 // With workers < 2 the tasks run inline on the calling goroutine (worker 0)
 // in ascending order — the sequential reference the determinism tests pin
