@@ -237,6 +237,33 @@ func TestGoldenFallback(t *testing.T) {
 	}
 }
 
+// goldenExactMCS locks ExactMCS's optimal slot count on the micro-benchmark's
+// parallel-section instance (deploy seed 2011, 12 readers × 20 tags, side 60,
+// λR 14, λr 7), where 6 tags are coverable.
+var goldenExactMCS = struct{ coverable, slots int }{coverable: 6, slots: 2}
+
+func TestGoldenExactMCS(t *testing.T) {
+	sys, err := deploy.Generate(deploy.Config{
+		Seed: 2011, NumReaders: 12, NumTags: 20,
+		Side: 60, LambdaR: 14, LambdaSmallR: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.CoverableCount(); got != goldenExactMCS.coverable {
+		t.Fatalf("exactmcs: %d coverable tags, want %d", got, goldenExactMCS.coverable)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		slots, err := ExactMCS{Workers: workers}.Solve(sys)
+		if err != nil {
+			t.Fatalf("exactmcs workers=%d: %v", workers, err)
+		}
+		if slots != goldenExactMCS.slots {
+			t.Errorf("exactmcs workers=%d: got %d slots, want %d", workers, slots, goldenExactMCS.slots)
+		}
+	}
+}
+
 // goldenOneShot locks one first-slot solve on the all-unread deployment: the
 // SHA-256 of the sorted set and its weight. Unlike a covering schedule, a
 // one-shot also pins the exact search's answer (baseline.Exact), and the
