@@ -40,7 +40,7 @@ import (
 type GHC struct {
 	// Brute selects with the O(n·|X|·deg) reference scan — a full weight
 	// recompute per candidate per step — instead of the lazy queue. Kept
-	// for differential tests and the wbench regression baseline; the
+	// for differential tests and the microbench regression baseline; the
 	// schedule produced is identical either way.
 	Brute bool
 }

@@ -370,8 +370,8 @@ func newShiftPlan(inst *ptasInstance, grid geom.ShiftGrid, lambda int) *shiftPla
 // two allocations and a format pass on the DP's hottest line; contexts are
 // short (filtered to disks intersecting one square), so spilling past the
 // 8-entry inline array is rare and the common-case key costs zero
-// allocations. psbench reports the resulting allocs/op next to the speedup
-// numbers.
+// allocations. cmd/microbench reports the resulting allocs/op next to the
+// speedup numbers.
 type dpMemoKey struct {
 	sq   sqKey
 	n    int

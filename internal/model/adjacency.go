@@ -331,7 +331,7 @@ func (s *System) ConflictBits() (bits []uint64, stride int) {
 // adjacency, coverage adjacency, coupling neighborhoods, and independence
 // bitsets — so later solves (and clones, which share the cache) never pay a
 // first-use construction stall. Serving layers call this right after
-// NewSystem; it is also the "first-solve prep" cost cmd/corebench gates.
+// NewSystem; it is also the "first-solve prep" cost cmd/microbench gates.
 func (s *System) WarmAdjacency() {
 	if len(s.readers) == 0 {
 		return

@@ -10,7 +10,7 @@ import (
 // Allocation-regression tests: the hot query paths must be allocation-free
 // at steady state, and the pooled clone and kernel paths must stay within a
 // fixed bound once their pools are warm. These are the machine-checked half
-// of the corebench gates.
+// of the microbench core gates.
 
 func TestZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {

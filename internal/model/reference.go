@@ -14,7 +14,7 @@ import (
 // baseline — the CSR relations of NewSystem/adjCache must match it element
 // for element (that equality is what carries the bit-identical-schedules
 // contract across the rebuild) — and as the construction-cost reference
-// cmd/corebench measures the grid/kd-tree path against. Not used on any
+// cmd/microbench measures the grid/kd-tree path against. Not used on any
 // production path.
 type ReferenceAdjacency struct {
 	TagsOf    [][]int32
@@ -29,7 +29,7 @@ type ReferenceAdjacency struct {
 // input slices, coverage lists as per-row append-grown slices sorted with a
 // closure sort.Slice, and the Weight scratch buffers the old constructor
 // allocated eagerly (the CSR constructor defers them to first Weight use).
-// cmd/corebench times BuildReferenceCoverage as the "what NewSystem cost
+// cmd/microbench times BuildReferenceCoverage as the "what NewSystem cost
 // before the rebuild" baseline, so the struct deliberately keeps every
 // allocation the old constructor performed.
 type ReferenceCoverage struct {
@@ -171,7 +171,8 @@ func BuildReferenceAdjacency(readers []Reader, tags []Tag) *ReferenceAdjacency {
 
 // refGrid is the frozen pre-CSR uniform grid: per-bucket []int32 slices
 // grown by append. geom.SpatialGrid has since moved to a flat CSR bucket
-// layout; this copy pins the construction cost corebench measures against.
+// layout; this copy pins the construction cost cmd/microbench measures
+// against.
 type refGrid struct {
 	cell    float64
 	minX    float64

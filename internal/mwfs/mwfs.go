@@ -78,7 +78,7 @@ type Options struct {
 
 	// BruteForce scores every search node with a full System.Weight
 	// recompute instead of the compiled local kernel's incremental
-	// evaluator — kept for differential tests and the wbench regression
+	// evaluator — kept for differential tests and the microbench regression
 	// baseline. Results are identical either way; only the cost differs.
 	BruteForce bool
 

@@ -9,7 +9,7 @@
 // (Collector), or fan out (Tee). A nil Tracer is the disabled state: every
 // call site is guarded with `if tr != nil`, so the event struct is never
 // even built and the instrumented hot paths stay allocation-free (see
-// BenchmarkRunMCSTracerNil in package core and cmd/obsbench).
+// BenchmarkRunMCSTracerNil in package core and cmd/microbench).
 //
 // Tracing is strictly read-only observation. No engine consults the tracer
 // for decisions and no RNG is shared with it, so a seeded run produces an
