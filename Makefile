@@ -17,8 +17,8 @@ race:
 bench: microbench
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# microbench re-measures the weight-kernel, geometry-core, parallel-search
-# and observability micro-benchmarks, enforces the gate table in
+# microbench re-measures the weight-kernel, geometry-core, PTAS/ExactMCS
+# pool and observability micro-benchmarks, enforces the gate table in
 # cmd/microbench on every run, and archives the numbers in BENCH_micro.json.
 # It refuses to archive from a host with fewer than 2 CPUs. Rerun and commit
 # when a measured code path or the benchmark changes; the gates are

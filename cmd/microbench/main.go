@@ -8,9 +8,9 @@
 //   - core: the frozen pre-CSR constructors versus NewSystem and
 //     NewSystem+WarmAdjacency, a fresh Clone versus the pooled cycle, and
 //     the steady-state allocations of Weight, the kernel and the pool;
-//   - parallel: sequential versus pooled wall clock of the three solvers on
-//     internal/parsearch (mwfs.Solve, Alg. 1's PTAS DP and ExactMCS) at
-//     min(4, NumCPU) workers;
+//   - parallel: sequential versus pooled wall clock of the two solvers on
+//     internal/parsearch (Alg. 1's PTAS DP and ExactMCS) at min(4, NumCPU)
+//     workers;
 //   - obs: the MCS driver's wall time per slot with no tracer and with each
 //     observability sink, sampled round-robin, plus the /metrics render and
 //     the /history sampler's per-tick cost.
@@ -69,8 +69,7 @@ type suite struct {
 	core      scale
 	coreIters int
 
-	mwfs, ptas    scale
-	mwfsNodes     int
+	ptas          scale
 	parallelIters int
 
 	obs      scale
@@ -98,7 +97,7 @@ var paperSuite = suite{
 	seed:   2011,
 	weight: []scale{{20, 400}, {60, 1200}, {120, 2400}}, weightIters: 10, solveNodes: 20000,
 	core: scale{120, 2400}, coreIters: 1000,
-	mwfs: scale{120, 2400}, ptas: scale{50, 1200}, mwfsNodes: 300000, parallelIters: 5,
+	ptas: scale{50, 1200}, parallelIters: 5,
 	obs: scale{40, 800}, obsIters: 50,
 	gates: []gate{
 		// BENCH_weight.json
@@ -116,8 +115,6 @@ var paperSuite = suite{
 		{metric: "core.marginal_allocs@120x2400", max: true},
 		{metric: "core.add_remove_allocs@120x2400", max: true},
 		{metric: "core.pooled_clone_allocs@120x2400", limit: 2, max: true},
-		// A fixed per-worker efficiency floor: at 4 workers, 2x wall clock.
-		{metric: "parallel.mwfs_parallel_efficiency@120x2400", limit: 0.5, multiCPU: true},
 		// The /history sampler measures about 3µs a tick; 1ms catches only
 		// real regressions, not runner noise.
 		{metric: "obs.history_sample_ns@40x800", limit: 1e6, max: true},
@@ -318,7 +315,7 @@ func benchWeightScale(s suite, sc scale, put func(string, float64)) error {
 		all[i] = i
 	}
 	k := model.CompileLocal(sys, X, all, nil, 0)
-	eval := k.Evals(1)[0]
+	eval := k.Eval()
 	for i, l := range k.LocalIDs() {
 		v := k.Candidates()[i]
 		got := eval.Push(l) - base
@@ -450,7 +447,7 @@ func benchCore(s suite, m metrics) error {
 	sys.Weight(X)
 	put("weight_allocs", testing.AllocsPerRun(100, func() { sys.Weight(X) }))
 	k := model.CompileLocal(sys, nil, X, nil, 0)
-	eval := k.Evals(1)[0]
+	eval := k.Eval()
 	probe, rest := k.LocalIDs()[0], k.LocalIDs()[1:]
 	put("add_remove_allocs", testing.AllocsPerRun(100, func() {
 		for _, l := range rest {
@@ -469,10 +466,9 @@ func benchCore(s suite, m metrics) error {
 	return nil
 }
 
-// benchParallel times the three parsearch solvers sequentially and at the
-// given worker count. Only the MWFS solve is gated: every scheduler funnels
-// into it and its workload is a fixed node budget, so its speedup is the
-// cleanest pure-search signal.
+// benchParallel times the two parsearch solvers sequentially and at the
+// given worker count. Neither is gated: their speedups are reported, and
+// their sequential and parallel answers must agree.
 func benchParallel(s suite, workers int, m metrics) error {
 	m["parallel.workers"] = float64(workers)
 	iters := s.parallelIters
@@ -484,39 +480,15 @@ func benchParallel(s suite, workers int, m metrics) error {
 		put(name+"_parallel_efficiency", seqNs/parNs/float64(workers))
 	}
 
-	// MWFS: the budget truncates the search at this scale, so the anytime
-	// sets may differ between modes (the untruncated bit-identity contract
-	// is pinned by the unit tests); the node budget is global in both, which
-	// makes the wall clock comparable.
-	sys, err := deployment(s.seed, s.mwfs)
-	if err != nil {
-		return err
-	}
-	cands := make([]int, s.mwfs.readers)
-	for i := range cands {
-		cands[i] = i
-	}
-	var seqW, parW int
-	seqNs := timeOp(iters, 1, func() {
-		seqW = mwfs.Solve(sys, cands, mwfs.Options{MaxNodes: s.mwfsNodes}).Weight
-	})
-	parNs := timeOp(iters, 1, func() {
-		parW = mwfs.Solve(sys, cands, mwfs.Options{MaxNodes: s.mwfsNodes, Workers: workers}).Weight
-	})
-	if seqW <= 0 || parW <= 0 {
-		return fmt.Errorf("mwfs: degenerate instance: weights seq=%d par=%d", seqW, parW)
-	}
-	record("mwfs", s.mwfs, seqNs, parNs)
-	m.at("parallel", s.mwfs)("mwfs_nodes", float64(s.mwfsNodes))
-
 	// PTAS: the pooled schedule must be bit-identical to the sequential one.
-	if sys, err = deployment(s.seed, s.ptas); err != nil {
+	sys, err := deployment(s.seed, s.ptas)
+	if err != nil {
 		return err
 	}
 	var seqSet, parSet []int
 	var seqErr, parErr error
-	seqNs = timeOp(iters, 1, func() { seqSet, seqErr = core.NewPTAS().OneShot(sys) })
-	parNs = timeOp(iters, 1, func() {
+	seqNs := timeOp(iters, 1, func() { seqSet, seqErr = core.NewPTAS().OneShot(sys) })
+	parNs := timeOp(iters, 1, func() {
 		p := core.NewPTAS()
 		p.Workers = workers
 		parSet, parErr = p.OneShot(sys)

@@ -17,7 +17,7 @@ func tiny(gates ...gate) suite {
 		seed:   2011,
 		weight: []scale{{10, 150}}, weightIters: 2, solveNodes: 20000,
 		core: scale{12, 80}, coreIters: 2,
-		mwfs: scale{30, 600}, ptas: scale{20, 400}, mwfsNodes: 20000, parallelIters: 1,
+		ptas: scale{20, 400}, parallelIters: 1,
 		obs: scale{12, 150}, obsIters: 2,
 		gates: gates,
 	}
@@ -26,7 +26,7 @@ func tiny(gates ...gate) suite {
 // tinyScales maps each section to its scale in tiny(), for re-keying the
 // paper gate table.
 var tinyScales = map[string]string{
-	"weight": "10x150", "core": "12x80", "parallel": "30x600", "obs": "12x150",
+	"weight": "10x150", "core": "12x80", "parallel": "20x400", "obs": "12x150",
 }
 
 // tinyKey re-keys a paper metric "section.name@scale" to the tiny suite.
@@ -81,7 +81,7 @@ var sectionKeys = map[string][]string{
 		"core.clone_speedup@12x80",
 	},
 	"parallel": {
-		"parallel.iters", "parallel.workers", "parallel.mwfs_parallel_efficiency@30x600",
+		"parallel.iters", "parallel.workers", "parallel.ptas_parallel_efficiency@20x400",
 		"parallel.ptas_speedup@20x400", "parallel.ptas_allocs_per_op@20x400",
 		"parallel.exactmcs_speedup@12x20",
 	},
@@ -199,7 +199,7 @@ func TestGateFailures(t *testing.T) {
 func TestMultiCPUGates(t *testing.T) {
 	for name, metric := range map[string]string{
 		"core":     "core.clone_speedup@12x80",
-		"parallel": "parallel.mwfs_parallel_efficiency@30x600",
+		"parallel": "parallel.ptas_parallel_efficiency@20x400",
 	} {
 		t.Run(name, func(t *testing.T) {
 			g := gate{metric: metric, limit: 1e9, multiCPU: true}

@@ -69,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verbose    = fs.Bool("v", false, "print the active reader set of every slot")
 		check      = fs.Bool("verify", false, "independently re-verify the schedule against the model")
 		trace      = fs.String("trace", "", "write a JSONL slot-level trace to this file")
-		workers    = fs.Int("workers", 0, "solver worker goroutines for alg1/alg2/exact (0 = sequential; results are identical at any value)")
+		workers    = fs.Int("workers", 0, "solver worker goroutines for alg1 (0 = sequential; results are identical at any value)")
 		deadline   = fs.Duration("deadline", 0, "per-slot wall-clock budget for alg1/alg2/exact (0 = none; truncated slots still activate a feasible set)")
 		slotPolls  = fs.Int("slot-polls", 0, "per-slot deterministic poll budget (reproducible alternative to -deadline; takes precedence)")
 		ckptPath   = fs.String("checkpoint", "", "append a durable per-slot checkpoint to this file")

@@ -150,12 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if tasks == 0 {
 			return
 		}
-		h := snap.Histograms["parsearch.subtree_nodes"]
-		logger.Info("solver pool",
-			"tasks", tasks,
-			"subtrees", h.N,
-			"subtree_nodes_mean", fmt.Sprintf("%.1f", h.Mean),
-			"subtree_nodes_max", h.Max)
+		logger.Info("solver pool", "tasks", tasks)
 	}()
 
 	var traceSink *obs.JSONL

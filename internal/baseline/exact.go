@@ -15,9 +15,6 @@ type Exact struct {
 	// MaxNodes caps the search; 0 uses the solver default. When hit, the
 	// result is the best set found (still feasible), not a failure.
 	MaxNodes int
-	// Workers is passed through to mwfs.Options.Workers: values below 2
-	// keep the sequential reference path; results are identical either way.
-	Workers int
 	// Deadline, when non-nil, bounds each OneShot call under the anytime
 	// contract: the branch and bound returns its best feasible incumbent
 	// (possibly empty) on expiry instead of blocking. core.RunMCS installs
@@ -34,10 +31,6 @@ type Exact struct {
 // Name implements model.OneShotScheduler.
 func (*Exact) Name() string { return "Exact" }
 
-// SetWorkers implements the solver-worker plumbing used by
-// core.MCSOptions.SolverWorkers and the CLIs.
-func (e *Exact) SetWorkers(w int) { e.Workers = w }
-
 // SetDeadline implements the core.DeadlineSetter contract.
 func (e *Exact) SetDeadline(dl *parsearch.Deadline) { e.Deadline = dl }
 
@@ -51,7 +44,7 @@ func (e *Exact) OneShot(sys *model.System) ([]int, error) {
 	for i := range cands {
 		cands[i] = i
 	}
-	res := mwfs.Solve(sys, cands, mwfs.Options{MaxNodes: e.MaxNodes, Workers: e.Workers, Deadline: e.Deadline})
+	res := mwfs.Solve(sys, cands, mwfs.Options{MaxNodes: e.MaxNodes, Deadline: e.Deadline})
 	e.LastExact = res.Exact
 	e.lastAnytime = res.TimedOut
 	return res.Set, nil

@@ -133,7 +133,7 @@ func ghcLazy(sys *model.System) ([]int, error) {
 	}
 	k := model.CompileLocal(sys, nil, all, nil, 0)
 	defer k.Release()
-	eval := k.Evals(1)[0]
+	eval := k.Eval()
 
 	cached := make([]int, n)    // current exact gain per candidate
 	version := make([]int32, n) // bumped whenever cached[v] is re-pushed

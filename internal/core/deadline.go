@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"rfidsched/internal/parsearch"
@@ -15,8 +14,8 @@ import (
 //
 // Two families of deadline exist:
 //
-//   - wall-clock (NewDeadline / DeadlineAt / DeadlineFromContext): the
-//     production mode, bounding per-slot latency in real time;
+//   - wall-clock (NewDeadline): the production mode, bounding per-slot
+//     latency in real time;
 //   - deterministic poll budgets (NewPollBudget): the reproducible
 //     fallback, expiring after a fixed number of cooperative polls so
 //     tests and CI observe the exact same truncation on every machine.
@@ -29,13 +28,6 @@ type Deadline = parsearch.Deadline
 
 // NewDeadline returns a wall-clock deadline expiring d from now.
 func NewDeadline(d time.Duration) *Deadline { return parsearch.After(d) }
-
-// DeadlineAt returns a wall-clock deadline expiring at instant t.
-func DeadlineAt(t time.Time) *Deadline { return parsearch.At(t) }
-
-// DeadlineFromContext adapts a context.Context: the deadline expires when
-// ctx is canceled or its deadline passes. nil ctx means no deadline.
-func DeadlineFromContext(ctx context.Context) *Deadline { return parsearch.FromContext(ctx) }
 
 // NewPollBudget returns a deterministic deadline expiring after n
 // cooperative polls — the node-count fallback mode for reproducible

@@ -118,7 +118,7 @@ func (e ExactMCS) solve(sys *model.System, dl *Deadline) (int, bool, error) {
 	}
 	// poll is the shared chunk-cadence deadline check: workers of all three
 	// phases call it once per chunk/segment, and the latch makes expiry a
-	// monotone transition every worker observes (mirroring parsearch.Budget).
+	// monotone transition every worker observes.
 	var timedOut atomic.Bool
 	poll := func() bool {
 		if dl == nil {

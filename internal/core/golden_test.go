@@ -301,13 +301,14 @@ func TestGoldenOneShots(t *testing.T) {
 				case "alg1":
 					sched = &PTAS{K: 3, Lambda: 6, Workers: workers}
 				case "alg2":
-					sched = &Growth{G: g, Rho: 1.25, Workers: workers}
+					// Algs. 2 and 3 and the exact search have no
+					// solver-worker knob (DESIGN.md §11); their entries
+					// repeat to match Alg. 1's.
+					sched = &Growth{G: g, Rho: 1.25}
 				case "alg3":
-					// Alg. 3 has no solver-worker knob (DESIGN.md §11); its
-					// entry repeats to match the others.
 					sched = NewDistributed(g, 1.25)
 				case "exact":
-					sched = &baseline.Exact{Workers: workers}
+					sched = &baseline.Exact{}
 				}
 				X, err := sched.OneShot(sys)
 				if err != nil {

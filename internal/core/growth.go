@@ -42,11 +42,6 @@ type Growth struct {
 	// computation. 0 means the mwfs package default.
 	SolverNodes int
 
-	// Workers is passed through to every local MWFS solve (mwfs.Options.
-	// Workers): values below 2 keep the sequential reference path. Results
-	// are bit-identical either way; only wall-clock changes.
-	Workers int
-
 	// Deadline, when non-nil, bounds the call (anytime contract, DESIGN.md
 	// §12). Every local MWFS solve inherits it; once it expires, each
 	// remaining cluster degrades to its seed singleton {v} — feasible with
@@ -83,9 +78,9 @@ func NewGrowth(g *graph.Graph, rho float64) *Growth {
 // Name implements model.OneShotScheduler.
 func (gr *Growth) Name() string { return "Alg2-Growth" }
 
-// SetWorkers implements the solver-worker plumbing used by
-// MCSOptions.SolverWorkers and the CLIs.
-func (gr *Growth) SetWorkers(w int) { gr.Workers = w }
+// SetWorkers does nothing: every local MWFS solve is sequential. It is kept
+// only because perfbench calls it, and goes once that call does.
+func (gr *Growth) SetWorkers(int) {}
 
 // SetDeadline implements DeadlineSetter.
 func (gr *Growth) SetDeadline(dl *Deadline) { gr.Deadline = dl }
@@ -153,7 +148,7 @@ func pruneByWeight(sys *model.System, X []int) []int {
 	cur := append([]int(nil), X...)
 	k := model.CompileLocal(sys, nil, cur, nil, 0)
 	defer k.Release()
-	eval := k.Evals(1)[0]
+	eval := k.Eval()
 	ids := make([]int32, len(cur))
 	for i, v := range cur {
 		ids[i] = k.Local(v)
@@ -209,7 +204,7 @@ func leaveOneOut(e *model.LocalEval, ids []int32, base int, visit func(i, w int)
 // context so the local objective is the marginal weight — overlap between
 // clusters is charged where it belongs.
 func (gr *Growth) growLocal(sys *model.System, alive []bool, v, maxR int, conf []uint64, committed []int) ([]int, int) {
-	opts := mwfs.Options{MaxNodes: gr.SolverNodes, Workers: gr.Workers, Conflicts: conf, Context: committed, Deadline: gr.Deadline}
+	opts := mwfs.Options{MaxNodes: gr.SolverNodes, Conflicts: conf, Context: committed, Deadline: gr.Deadline}
 	cur := mwfs.Solve(sys, []int{v}, opts) // Γ_0 = {v}
 	if cur.TimedOut {
 		// Expired before Γ_0 could even be scored: degrade to the seed

@@ -40,15 +40,14 @@ type MCSOptions struct {
 	RecordSlots bool
 
 	// SolverWorkers routes a solver-level worker count into schedulers that
-	// expose a SetWorkers(int) knob (PTAS, Growth, baseline.Exact); 0
-	// leaves the scheduler's own configuration untouched. Schedules are
+	// expose a SetWorkers(int) knob; 0 leaves the scheduler's own
+	// configuration untouched. Only the PTAS pools its work: the MWFS
+	// searches behind Growth, Distributed and baseline.Exact are sequential
+	// (DESIGN.md §11), and Growth's SetWorkers is a no-op. Schedules are
 	// bit-identical at every value — the knob only trades wall-clock
 	// against cores. Callers running many trials concurrently should keep
 	// this at 1 so trial-level and solver-level pools do not oversubscribe
-	// (see experiments.Config.SolverWorkers). Distributed (Algorithm 3) has
-	// no knob on purpose: a head's local solve runs inside its node's Step
-	// and stays sequential, like the reader controller it models (DESIGN.md
-	// §11).
+	// (see experiments.Config.SolverWorkers).
 	SolverWorkers int
 
 	// SlotDeadline bounds each slot's one-shot computation in wall-clock

@@ -103,37 +103,6 @@ func (m MultiChannel) OneShot(sys *model.System) (Assignment, error) {
 	return plan, nil
 }
 
-// RunMultiChannelMCS iterates OneShot until every coverable tag is read,
-// returning the schedule length — directly comparable to RunMCS sizes.
-func RunMultiChannelMCS(sys *model.System, m MultiChannel, maxSlots int) (int, error) {
-	if maxSlots <= 0 {
-		maxSlots = 100000
-	}
-	slots := 0
-	for sys.UnreadCoverableCount() > 0 {
-		if slots >= maxSlots {
-			return slots, fmt.Errorf("core: multi-channel schedule incomplete after %d slots", slots)
-		}
-		plan, err := m.OneShot(sys)
-		if err != nil {
-			return slots, err
-		}
-		covered := sys.CoveredChanneled(plan.Readers, plan.Channels, nil)
-		if len(covered) == 0 {
-			// Same cross-overlap endgame as the single-channel driver:
-			// fall back to the global greedy feasible set on channel 0.
-			fb := greedyFallback(sys)
-			ch := make([]int, len(fb))
-			covered = sys.CoveredChanneled(fb, ch, nil)
-		}
-		for _, t := range covered {
-			sys.MarkRead(int(t))
-		}
-		slots++
-	}
-	return slots, nil
-}
-
 // insertionSortBy sorts ints in place with a custom order; candidate lists
 // are small enough that this beats sort.Slice overhead.
 func insertionSortBy(a []int, less func(x, y int) bool) {

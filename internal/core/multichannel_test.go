@@ -114,35 +114,6 @@ func TestCoveredChanneledMatchesWeight(t *testing.T) {
 	}
 }
 
-func TestRunMultiChannelMCS(t *testing.T) {
-	sys := paperSystem(t, 49, 12, 5)
-	coverable := sys.CoverableCount()
-	single := sys.Clone()
-	s1, err := RunMultiChannelMCS(single, MultiChannel{Channels: 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi := sys.Clone()
-	s4, err := RunMultiChannelMCS(multi, MultiChannel{Channels: 4}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.UnreadCoverableCount() != 0 || multi.UnreadCoverableCount() != 0 {
-		t.Fatal("multi-channel schedule left coverable tags unread")
-	}
-	if s4 > s1 {
-		t.Errorf("4 channels (%d slots) worse than 1 channel (%d slots)", s4, s1)
-	}
-	_ = coverable
-}
-
-func TestRunMultiChannelMCSCap(t *testing.T) {
-	sys := paperSystem(t, 51, 12, 5)
-	if _, err := RunMultiChannelMCS(sys, MultiChannel{Channels: 2}, 1); err == nil {
-		t.Error("1-slot cap not reported on a multi-slot instance")
-	}
-}
-
 func TestMultiChannelIgnoresZeroWeightReaders(t *testing.T) {
 	sys := figure2System(t)
 	for i := 0; i < sys.NumTags(); i++ {

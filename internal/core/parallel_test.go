@@ -4,15 +4,13 @@ import (
 	"runtime"
 	"testing"
 
-	"rfidsched/internal/deploy"
-	"rfidsched/internal/graph"
 	"rfidsched/internal/model"
 	"rfidsched/internal/randx"
 )
 
-// Determinism property tests for the parallel solvers: PTAS, Growth (through
-// its mwfs.Workers pass-through) and ExactMCS must return bit-identical
-// results at every worker count, including under read churn and fault masks.
+// Determinism property tests for the parallel solvers: PTAS and ExactMCS
+// must return bit-identical results at every worker count, including under
+// read churn and fault masks.
 
 var detWorkerCounts = []int{0, 1, 2, 8, runtime.NumCPU()}
 
@@ -75,81 +73,15 @@ func TestPTASParallelDeterminism(t *testing.T) {
 	}
 }
 
-func TestGrowthParallelDeterminism(t *testing.T) {
-	for trial := 0; trial < 25; trial++ {
-		seed := uint64(6200 + trial*17)
-		sys, g := quickSystem(seed)
-		rng := randx.New(seed ^ 0xfeed)
-		churn(sys, rng)
-
-		refSet, err := NewGrowth(g, 1.25).OneShot(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range detWorkerCounts {
-			gr := NewGrowth(g, 1.25)
-			gr.SetWorkers(w)
-			got, err := gr.OneShot(sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameSet(refSet, got) {
-				t.Fatalf("trial %d: Growth Workers=%d returned %v, sequential %v", trial, w, got, refSet)
-			}
-		}
-	}
-}
-
-// TestGrowthParallelDeterminismDense repeats the Growth check on deployments
-// dense enough (lambda_R 16 on a 60-side square) that the interference graph
-// prunes inside the solver's parallel frontier depth — the regime where the
-// subtree resume-index regression showed up as duplicated readers in local
-// solutions and longer schedules. The seeds include the ones that caught it.
-func TestGrowthParallelDeterminismDense(t *testing.T) {
-	for _, seed := range []uint64{15, 39, 51, 84, 105, 200, 201, 202, 203} {
-		run := func(workers int) *MCSResult {
-			sys, err := deploy.Generate(deploy.Config{
-				Seed: seed, NumReaders: 14, NumTags: 150,
-				Side: 60, LambdaR: 16, LambdaSmallR: 5,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := graph.FromSystem(sys)
-			res, err := RunMCS(sys, NewGrowth(g, 1.25), MCSOptions{
-				SolverWorkers: workers, RecordSlots: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		ref := run(0)
-		for _, w := range detWorkerCounts {
-			got := run(w)
-			if got.Size != ref.Size || got.TotalRead != ref.TotalRead {
-				t.Fatalf("seed %d: SolverWorkers=%d gave %d slots/%d read, sequential %d/%d",
-					seed, w, got.Size, got.TotalRead, ref.Size, ref.TotalRead)
-			}
-			for s := range ref.Slots {
-				if !sameSet(ref.Slots[s].Active, got.Slots[s].Active) {
-					t.Fatalf("seed %d: SolverWorkers=%d slot %d active %v, sequential %v",
-						seed, w, s, got.Slots[s].Active, ref.Slots[s].Active)
-				}
-			}
-		}
-	}
-}
-
-// TestMCSSolverWorkersDeterminism drives full covering-schedule runs through
-// the MCSOptions.SolverWorkers plumbing: same schedule length, same total,
-// slot for slot, at every worker count.
+// TestMCSSolverWorkersDeterminism drives full covering-schedule runs of the
+// PTAS through the MCSOptions.SolverWorkers plumbing: same schedule length,
+// same total, slot for slot, at every worker count.
 func TestMCSSolverWorkersDeterminism(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		seed := uint64(7300 + trial*13)
 		run := func(workers int) *MCSResult {
-			sys, g := quickSystem(seed)
-			res, err := RunMCS(sys, NewGrowth(g, 1.25), MCSOptions{
+			sys, _ := quickSystem(seed)
+			res, err := RunMCS(sys, NewPTAS(), MCSOptions{
 				SolverWorkers: workers, RecordSlots: true,
 			})
 			if err != nil {

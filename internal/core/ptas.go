@@ -254,7 +254,7 @@ func augmentFeasible(sys *model.System, X []int) []int {
 	}
 	k := model.CompileLocal(sys, X, cand, conf, confW)
 	defer k.Release()
-	eval := k.Evals(1)[0]
+	eval := k.Eval()
 	cur := append([]int(nil), X...)
 	curW := eval.Weight()
 	for {

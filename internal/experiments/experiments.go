@@ -47,8 +47,9 @@ type Config struct {
 	Workers    int     // parallel trial workers (default NumCPU)
 
 	// SolverWorkers routes a worker count into each trial's schedulers that
-	// expose SetWorkers (PTAS, Growth, baseline.Exact). Schedules are
-	// bit-identical at every value. Default: 1 (sequential solvers) when
+	// expose SetWorkers; only the PTAS pools its work (the MWFS searches of
+	// Algs. 2 and 3 are sequential). Schedules are bit-identical at every
+	// value. Default: 1 (sequential solvers) when
 	// Workers > 1 — trial-level parallelism already saturates the cores,
 	// and nesting pools would oversubscribe — else NumCPU, so single-trial
 	// runs get the full machine at the solver level.

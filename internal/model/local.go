@@ -19,7 +19,9 @@ package model
 //     keep every pair, and so does every pair under a nil conflict matrix.
 //   - one conflict row per candidate position, in position space, for the
 //     search's conflict-aware bound: row i marks the later positions that
-//     including cand[i] rules out (BlockRows).
+//     including cand[i] rules out (BlockRows);
+//   - on demand, a greedy partition of the positions into cliques of that
+//     block relation, for the search's clique-cover bound (CoverCliques).
 //
 // A LocalEval over the compiled instance keeps two bitsets, once (tags
 // covered by exactly one active live reader) and twice (by two or more),
@@ -56,6 +58,10 @@ type LocalKernel struct {
 	single []int    // single[i]: singleton weight of cand[i]
 	rows   []uint64 // rows[i*rowW:(i+1)*rowW]: block row of cand[i] (BlockRows)
 	rowW   int
+	clique []int32 // clique[i]: the cover clique of position i (CoverCliques)
+	next   []int32 // next[i]: the next position of i's clique, len(cand) if none
+	heads  []int32 // heads[c]: the first (heaviest) position of clique c
+	parted bool    // clique, next and heads describe this compile
 
 	words  int       // bitset words over the local tags
 	covOff []int32   // local reader l's coverage pairs are cov[covOff[l]:covOff[l+1]]
@@ -65,7 +71,7 @@ type LocalKernel struct {
 	outOff []int32 // outDat[outOff[l]:outOff[l+1]]: local readers l interferes with
 	outDat []int32
 
-	evals []*LocalEval // evaluators of this instance, reused across compiles
+	eval LocalEval // the evaluator of this instance, reused across compiles
 
 	// readerLocal maps global reader indices to local ones (Local); it is
 	// all -1 while the kernel sits in the pool.
@@ -77,6 +83,8 @@ type LocalKernel struct {
 	tagGlob  []int32
 	acc      []uint64
 	accWords []int32
+	common   []uint64 // per clique, the positions every member blocks
+	tail     []int32  // per clique, its last position so far
 }
 
 // covPair is one word of a reader's coverage bitset over the local tags.
@@ -145,6 +153,7 @@ func CompileLocal(sys *System, ctx, candidates []int, conf []uint64, confW int) 
 		k.loc = append(k.loc, k.readerLocal[v])
 	}
 	k.compileRows(conf, confW)
+	k.parted = false
 	k.compileCoverage(sys)
 	k.compileInterference(sys, conf, confW)
 	return k
@@ -170,6 +179,36 @@ func (k *LocalKernel) compileRows(conf []uint64, confW int) {
 				k.rows[i*k.rowW+j>>6] |= 1 << (uint(j) & 63)
 			}
 		}
+	}
+}
+
+// compileCliques partitions the positions greedily, heaviest first: position
+// j joins the first clique all of whose members block it, or opens a new
+// one. Any two members of a clique therefore block each other in the block
+// direction — including the earlier rules out the later — which is what
+// makes the cover bound sound for asymmetric rows too.
+func (k *LocalKernel) compileCliques() {
+	n, rowW := len(k.cand), k.rowW
+	k.clique, k.next = reserved(k.clique, n)[:n], reserved(k.next, n)[:n]
+	k.heads, k.tail, k.common = k.heads[:0], k.tail[:0], k.common[:0]
+	for j := range k.cand {
+		c := 0
+		for c < len(k.heads) && !hasBit(k.common[c*rowW:], j) {
+			c++
+		}
+		row := k.rows[j*rowW : (j+1)*rowW]
+		if c == len(k.heads) {
+			k.heads = append(k.heads, int32(j))
+			k.tail = append(k.tail, int32(j))
+			k.common = append(k.common, row...)
+		} else {
+			k.next[k.tail[c]] = int32(j)
+			k.tail[c] = int32(j)
+			for w, m := range row {
+				k.common[c*rowW+w] &= m
+			}
+		}
+		k.clique[j], k.next[j] = int32(c), int32(n)
 	}
 }
 
@@ -279,37 +318,47 @@ func (k *LocalKernel) Singles() []int { return k.single }
 // Candidates()[i]. Callers must not mutate it.
 func (k *LocalKernel) BlockRows() ([]uint64, int) { return k.rows, k.rowW }
 
-// Evals returns n evaluators over the instance, each holding exactly the
-// context. Evaluators are owned by the kernel: they stay valid until
-// Release, and one evaluator must not be used by two goroutines at once.
-// Call Evals once per compile, before handing evaluators to workers.
-func (k *LocalKernel) Evals(n int) []*LocalEval {
-	for len(k.evals) < n {
-		k.evals = append(k.evals, &LocalEval{})
+// CoverCliques returns the clique partition of the positions: clique[i] is
+// position i's clique, next[i] the clique's next position after i
+// (len(Candidates()) after the last), and heads[c] clique c's first and
+// heaviest position. Including any member blocks every later member, so a
+// feasible set holds at most one member of each clique. The first call after
+// CompileLocal builds the partition, so only a search pays for it, and must
+// not race with another. Callers must not mutate the slices.
+func (k *LocalKernel) CoverCliques() (clique, next, heads []int32) {
+	if !k.parted {
+		k.compileCliques()
+		k.parted = true
 	}
+	return k.clique, k.next, k.heads
+}
+
+// Eval returns the evaluator over the instance, holding exactly the
+// context. It is owned by the kernel and stays valid until Release. Call
+// Eval once per compile.
+func (k *LocalKernel) Eval() *LocalEval {
 	m := len(k.glob)
-	for _, e := range k.evals[:n] {
-		e.k = k
-		e.once = zeroed(e.once, k.words)
-		e.twice = zeroed(e.twice, k.words)
-		e.active = zeroed(e.active, m)
-		e.rtc = zeroed(e.rtc, m)
-		e.pop = 0
-		// Each reader is pushed at most once, so these never outgrow one
-		// entry per reader (frames, dirty) or per coverage pair (log).
-		e.frames = reserved(e.frames, m)
-		e.dirty = reserved(e.dirty, m)
-		e.log = reserved(e.log, len(k.cov))
-		for l := 0; l < k.nCtx; l++ {
-			e.Push(int32(l))
-		}
+	e := &k.eval
+	e.k = k
+	e.once = zeroed(e.once, k.words)
+	e.twice = zeroed(e.twice, k.words)
+	e.active = zeroed(e.active, m)
+	e.rtc = zeroed(e.rtc, m)
+	e.pop = 0
+	// Each reader is pushed at most once, so these never outgrow one entry
+	// per reader (frames, dirty) or per coverage pair (log).
+	e.frames = reserved(e.frames, m)
+	e.dirty = reserved(e.dirty, m)
+	e.log = reserved(e.log, len(k.cov))
+	for l := 0; l < k.nCtx; l++ {
+		e.Push(int32(l))
 	}
-	return k.evals[:n]
+	return e
 }
 
 // reserved returns a[:0] with capacity for n elements. Fresh storage holds
-// at least 64 elements, so the buffers of evaluators that parallel workers
-// write never share a cache line.
+// at least 64 elements, so the buffers that concurrent solves on different
+// kernels write never share a cache line.
 func reserved[T any](a []T, n int) []T {
 	if cap(a) < n {
 		return make([]T, 0, max(n, 64))

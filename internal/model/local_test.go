@@ -115,7 +115,7 @@ func runLocalCase(t *testing.T, seed uint64, c localCase) (states, dirty int) {
 	for _, g := range k.Context() {
 		dedupCtx = append(dedupCtx, int(g))
 	}
-	e := k.Evals(1)[0]
+	e := k.Eval()
 	curBits := make([]uint64, w)
 	var stack []int // candidate positions, LIFO
 	check := func(got int, what string) {
@@ -234,8 +234,8 @@ func TestLocalKernelMatchesWeight(t *testing.T) {
 }
 
 // TestLocalKernelReuse recompiles pooled kernels over systems of one
-// geometry with different read states while evaluators are left mid-search:
-// Evals must hand back evaluators holding exactly the new context.
+// geometry with different read states while the evaluator is left
+// mid-search: Eval must hand it back holding exactly the new context.
 func TestLocalKernelReuse(t *testing.T) {
 	sys := genSystem(41, 20, 150)
 	conf, w := sys.ConflictBits()
@@ -246,13 +246,11 @@ func TestLocalKernelReuse(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		ctx := []int{round % 20, (round * 7) % 20}
 		k := CompileLocal(sys, ctx, all, conf, w)
-		evs := k.Evals(3)
-		for j, e := range evs {
-			if got, want := e.Weight(), sys.Weight(dedup(ctx)); got != want {
-				t.Fatalf("round %d eval %d: context weight %d, want %d", round, j, got, want)
-			}
-			e.Push(k.LocalIDs()[j]) // left pushed on purpose
+		e := k.Eval()
+		if got, want := e.Weight(), sys.Weight(dedup(ctx)); got != want {
+			t.Fatalf("round %d: context weight %d, want %d", round, got, want)
 		}
+		e.Push(k.LocalIDs()[round%len(k.LocalIDs())]) // left pushed on purpose
 		k.Release()
 		sys.MarkRead(round * 7)
 	}

@@ -39,7 +39,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 	k := CompileLocal(sys, nil, all, nil, 0)
 	defer k.Release()
-	eval := k.Evals(1)[0]
+	eval := k.Eval()
 	ids := k.LocalIDs()
 	for _, l := range ids[1:] {
 		eval.Push(l)
@@ -62,7 +62,7 @@ func TestPooledCloneAllocBound(t *testing.T) {
 	cycle := func() {
 		c := sys.ClonePooled()
 		k := CompileLocal(c, nil, cands, nil, 0)
-		k.Evals(1)[0].Push(k.LocalIDs()[0])
+		k.Eval().Push(k.LocalIDs()[0])
 		k.Release()
 		c.Release()
 	}
@@ -161,7 +161,7 @@ func TestPoolConcurrentUse(t *testing.T) {
 				c := sys.ClonePooled()
 				c.MarkRead(int(rng.Intn(c.NumTags())))
 				k := CompileLocal(c, nil, rng.Perm(c.NumReaders())[:20], nil, 0)
-				e := k.Evals(1)[0]
+				e := k.Eval()
 				for _, l := range k.LocalIDs() {
 					if rng.Bool(0.5) {
 						e.Push(l)

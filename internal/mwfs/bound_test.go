@@ -11,10 +11,10 @@ import (
 	"rfidsched/internal/randx"
 )
 
-// Differential tests for the conflict-aware bound: on instances small
-// enough to enumerate, every engine (kernel and BruteForce, sequential and
-// pooled) must return the first maximum of an unpruned include-first
-// enumeration, whose feasibility test reads the conflict matrix directly.
+// Differential tests for the clique-cover bound: on instances small enough
+// to enumerate, both scoring paths (kernel and BruteForce) must return the
+// first maximum of an unpruned include-first enumeration, whose feasibility
+// test reads the conflict matrix directly.
 
 // boundCase is one randomized instance: at most 14 candidates, with
 // duplicate and out-of-range entries, a context, read tags, down readers and
@@ -161,18 +161,16 @@ func checkBoundCase(t *testing.T, c boundCase, what string) {
 	if want.Set == nil {
 		want.Set = []int{}
 	}
-	for _, workers := range []int{1, 2, 4} {
-		opts := Options{Context: c.ctx, Conflicts: c.conf, Workers: workers}
-		inc := Solve(c.sys, c.cands, opts)
-		opts.BruteForce = true
-		brute := Solve(c.sys, c.cands, opts)
-		if !samePick(inc, want) || !samePick(brute, want) {
-			t.Fatalf("%s workers=%d: kernel %+v, brute %+v, enumeration %+v (cands %v ctx %v)",
-				what, workers, inc, brute, want, c.cands, c.ctx)
-		}
-		if workers == 1 && inc.Nodes != brute.Nodes {
-			t.Fatalf("%s: kernel expanded %d nodes, brute %d", what, inc.Nodes, brute.Nodes)
-		}
+	opts := Options{Context: c.ctx, Conflicts: c.conf}
+	inc := Solve(c.sys, c.cands, opts)
+	opts.BruteForce = true
+	brute := Solve(c.sys, c.cands, opts)
+	if !samePick(inc, want) || !samePick(brute, want) {
+		t.Fatalf("%s: kernel %+v, brute %+v, enumeration %+v (cands %v ctx %v)",
+			what, inc, brute, want, c.cands, c.ctx)
+	}
+	if inc.Nodes != brute.Nodes {
+		t.Fatalf("%s: kernel expanded %d nodes, brute %d", what, inc.Nodes, brute.Nodes)
 	}
 }
 
@@ -193,37 +191,44 @@ func FuzzSolveExact(f *testing.F) {
 	})
 }
 
-// TestSolveAsymmetricRows pins the direction of the block rows on a
-// hand-built pair: A (heavier, searched first) and B sit far apart, so
-// {A, B} is the heaviest set whenever the matrix admits it. The search asks
-// whether B's row holds A; reading A's own row instead flips both answers.
+// TestSolveAsymmetricRows pins the direction of the block rows and of the
+// cover cliques on hand-built readers A (3 tags, searched first), B and C
+// (2 tags each), far apart, so any admitted set weighs the sum of its
+// members. The search asks whether the later reader's row holds the
+// earlier one; reading the earlier reader's own row instead flips the first
+// two answers. In the third case A conflicts with B and C, and only B's row
+// holds C, so {B, C} is admitted and beats A. Cliques built from each
+// reader's own row would put B and C in A's clique, bound the exclude-A
+// branch by B's weight alone and return {A}.
 func TestSolveAsymmetricRows(t *testing.T) {
 	readers := []model.Reader{
 		{Pos: geom.Pt(0, 0), InterferenceR: 5, InterrogationR: 4},  // A
 		{Pos: geom.Pt(40, 0), InterferenceR: 5, InterrogationR: 4}, // B
+		{Pos: geom.Pt(80, 0), InterferenceR: 5, InterrogationR: 4}, // C
 	}
 	tags := []model.Tag{
 		{Pos: geom.Pt(0, 0)}, {Pos: geom.Pt(1, 0)}, {Pos: geom.Pt(0, 1)}, // A's
 		{Pos: geom.Pt(40, 0)}, {Pos: geom.Pt(41, 0)}, // B's
+		{Pos: geom.Pt(80, 0)}, {Pos: geom.Pt(81, 0)}, // C's
 	}
 	sys, err := model.NewSystem(readers, tags)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const a, b = 1 << 0, 1 << 1
+	const a, b, c = 1 << 0, 1 << 1, 1 << 2
 	for _, tc := range []struct {
-		name string
-		conf []uint64 // rows of A and B
-		want []int
+		name  string
+		cands []int
+		conf  []uint64 // rows of A, B and C
+		want  []int
 	}{
-		{"B's row holds A", []uint64{a, b | a}, []int{0}},
-		{"A's row holds B", []uint64{a | b, b}, []int{0, 1}},
+		{"B's row holds A", []int{1, 0}, []uint64{a, b | a, c}, []int{0}},
+		{"A's row holds B", []int{1, 0}, []uint64{a | b, b, c}, []int{0, 1}},
+		{"only B's row holds C", []int{2, 1, 0}, []uint64{a | b | c, b | a | c, c | a}, []int{1, 2}},
 	} {
-		for _, workers := range []int{1, 2} {
-			res := Solve(sys, []int{1, 0}, Options{Conflicts: tc.conf, Workers: workers})
-			if !slices.Equal(res.Set, tc.want) {
-				t.Errorf("%s, workers=%d: set %v, want %v", tc.name, workers, res.Set, tc.want)
-			}
+		res := Solve(sys, tc.cands, Options{Conflicts: tc.conf})
+		if !slices.Equal(res.Set, tc.want) {
+			t.Errorf("%s: set %v, want %v", tc.name, res.Set, tc.want)
 		}
 	}
 }
@@ -231,10 +236,10 @@ func TestSolveAsymmetricRows(t *testing.T) {
 // TestSolveNodesGrowthBall pins the node count of one fixed local solve: an
 // Alg. 2 ball (reader 0's 4-hop ball on the paper deployment at 120 x 2400,
 // deploy seed 2011, 53 readers) with graph-row feasibility. The static
-// suffix bound that counted blocked candidates expanded 351480 nodes here;
-// the count must never grow.
+// suffix bound that counted blocked candidates expanded 351480 nodes here,
+// the conflict-aware bound alone 9469; the count must never grow.
 func TestSolveNodesGrowthBall(t *testing.T) {
-	const growthBallNodes = 9469
+	const growthBallNodes = 763
 	cfg := deploy.Paper(2011, 12, 5)
 	cfg.NumReaders, cfg.NumTags = 120, 2400
 	sys, err := deploy.Generate(cfg)

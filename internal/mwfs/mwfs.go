@@ -12,17 +12,23 @@
 //   - ablation benchmarks comparing exact and approximate one-shot weights.
 //
 // The search orders candidates by decreasing singleton weight and prunes
-// with a conflict-aware form of the subadditive bound w(X ∪ S) <= w(X) +
-// Σ_{v∈S} w({v}), which holds because a newly activated reader can only
-// create well-covered tags inside its own interrogation region: S ranges
-// only over the later candidates that no member of the current set blocks
-// (DESIGN.md §10). A blocked candidate skips its include branch, so the
-// blocked bitset is also the feasibility test. cand[j] is blocked by an
-// included cand[i], i < j, iff cand[j]'s conflict row holds cand[i];
-// Algorithm 3's flooded matrices can be asymmetric, so the direction
-// matters. The bound is admissible and prunes only subtrees that cannot
-// strictly beat the incumbent, so every untruncated search returns the
-// first maximum in DFS pre-order.
+// with a bound built on the subadditive w(X ∪ S) <= w(X) + Σ_{v∈S} w({v}),
+// which holds because a newly activated reader can only create well-covered
+// tags inside its own interrogation region (DESIGN.md §10). The extension S
+// ranges only over the later candidates that no member of the current set
+// blocks, and holds at most one candidate of each clique of the kernel's
+// static clique partition, so it adds at most cover, the summed singleton
+// weight of each clique's heaviest unblocked later member — the colour bound
+// of Tomita and Seki's MCQ. Cliques are taken in the block direction, so the
+// bound stays sound for asymmetric conflict rows.
+//
+// A blocked candidate skips its include branch, so the blocked bitset is
+// also the feasibility test. cand[j] is blocked by an included cand[i], i <
+// j, iff cand[j]'s conflict row holds cand[i]; Algorithm 3's flooded
+// matrices can be asymmetric, so the direction matters. The bound is
+// admissible and prunes only subtrees that cannot strictly beat the
+// incumbent, so every untruncated search returns the first maximum in DFS
+// pre-order.
 package mwfs
 
 import (
@@ -40,19 +46,6 @@ type Options struct {
 	// (4M). When the cap is hit the best set found so far is returned with
 	// Exact=false in the result.
 	MaxNodes int
-
-	// Workers selects the search engine: values below 2 run the sequential
-	// reference path (kept for differential tests), higher values fan the
-	// branch-and-bound over a worker pool where every worker owns an
-	// evaluator over the shared compiled kernel (see parallel.go). For any
-	// Workers value an untruncated search returns a bit-identical Result.Set
-	// and Weight — the deterministic-merge argument is in DESIGN.md §11 — while
-	// Result.Nodes may differ (stale incumbent reads change how much is
-	// pruned, never what is returned). When MaxNodes truncates the search,
-	// the anytime best may legitimately differ across worker counts; the
-	// shared Exact=false flag means the same thing in every mode: the
-	// global node allowance ran out before the tree did.
-	Workers int
 
 	// Conflicts overrides the feasibility relation with a packed conflict
 	// matrix in the layout of model.System.ConflictBits: reader v's row
@@ -83,13 +76,12 @@ type Options struct {
 	BruteForce bool
 
 	// Deadline is the anytime contract (DESIGN.md §12): the search polls it
-	// once per parsearch.BudgetChunk nodes (piggybacked on the chunked
-	// budget reservations on the parallel path) and, on expiry, stops
-	// expanding and returns the best feasible set found so far with
-	// TimedOut set. The empty set is feasible, so even a deadline that is
-	// already expired at entry yields a valid (if empty) result, never an
-	// error. nil means no deadline. Deterministic truncation is guaranteed
-	// only in poll-budget mode with Workers < 2; see parsearch.Deadline.
+	// once per parsearch.BudgetChunk nodes and, on expiry, stops expanding
+	// and returns the best feasible set found so far with TimedOut set. The
+	// empty set is feasible, so even a deadline that is already expired at
+	// entry yields a valid (if empty) result, never an error. nil means no
+	// deadline. A poll-budget deadline (parsearch.PollBudget) truncates
+	// deterministically: the polls fall at fixed node counts.
 	Deadline *parsearch.Deadline
 }
 
@@ -99,7 +91,7 @@ type Result struct {
 	Weight   int
 	Exact    bool // false if the node cap or deadline truncated the search
 	TimedOut bool // true if Options.Deadline expired mid-search (anytime result)
-	Nodes    int  // search nodes expanded (timing-dependent when Workers >= 2)
+	Nodes    int  // search nodes expanded; a function of the instance and the caps
 }
 
 const defaultMaxNodes = 4 << 20
@@ -117,42 +109,39 @@ func Solve(sys *model.System, candidates []int, opts Options) Result {
 
 	// The compiled local kernel drops candidates already committed in the
 	// context (activating a reader twice is not a thing), orders the rest by
-	// singleton weight, heaviest first — good solutions early make the bound
-	// bite — and evaluates w(cur ∪ ctx) incrementally as the search pushes
-	// and pops readers (DESIGN.md §10).
+	// singleton weight, heaviest first — good solutions early make the
+	// bound bite — and evaluates w(cur ∪ ctx) incrementally as the search
+	// pushes and pops readers (DESIGN.md §10).
 	k := model.CompileLocal(sys, opts.Context, candidates, conf, confW)
 	defer k.Release()
-	sr := newSearchRange(k)
-	n := len(sr.cand)
+	cand := k.Candidates()
+	n := len(cand)
+	_, _, heads := k.CoverCliques()
 
-	// Parallel engine: only when a real pool was requested and the frontier
-	// split leaves the workers non-trivial subtrees to chew on. A candidate
-	// list no deeper than the split depth would put the whole tree inside
-	// the (sequential) frontier expansion anyway.
-	if workers := parsearch.Normalize(opts.Workers); workers >= 2 {
-		if d := frontierDepth(n, workers); n > d {
-			return solveParallel(sys, k, sr, opts, maxNodes, workers, d)
-		}
-	}
-
-	buf := make([]int, 2*n)
+	buf := make([]int, 2*n+len(heads))
 	s := &solver{
-		searchRange: sr,
-		blk:         sr.newBlocker(1),
-		cur:         buf[:0:n],
-		best:        buf[n:n], // empty set, marginal weight 0
-		maxNodes:    maxNodes,
-		exact:       true,
-		dl:          opts.Deadline,
+		cand:     cand,
+		loc:      k.LocalIDs(),
+		single:   k.Singles(),
+		blk:      newBlocker(k, buf[2*n:]),
+		cur:      buf[:0:n],
+		best:     buf[n:n], // empty set, marginal weight 0
+		maxNodes: maxNodes,
+		exact:    true,
+		dl:       opts.Deadline,
 	}
 	if opts.BruteForce {
 		s.brute = newBrute(sys, k)
 		s.ctxW = s.brute.ctxW
 	} else {
-		s.eval = k.Evals(1)[0]
+		s.eval = k.Eval()
 		s.ctxW = s.eval.Weight()
 	}
-	s.rec(0, 0, sr.total)
+	cover := 0
+	for _, h := range heads {
+		cover += s.single[h]
+	}
+	s.rec(0, 0, cover)
 
 	set := append([]int(nil), s.best...)
 	slices.Sort(set)
@@ -160,7 +149,9 @@ func Solve(sys *model.System, candidates []int, opts Options) Result {
 }
 
 type solver struct {
-	searchRange
+	cand     []int            // the kernel's candidates in search order
+	loc      []int32          // their kernel reader indices
+	single   []int            // their singleton weights
 	eval     *model.LocalEval // nil on the brute-force path
 	brute    *brute           // nil on the kernel path
 	blk      blocker
@@ -200,8 +191,8 @@ func (b *brute) marginal(cur []int) int {
 }
 
 // rec expands the node at candidate position i with marginal weight curW
-// and avail, the summed singleton weight of the unblocked positions >= i.
-func (s *solver) rec(i, curW, avail int) {
+// and cover, the summed singleton weight of every clique's head.
+func (s *solver) rec(i, curW, cover int) {
 	if s.timedOut {
 		return
 	}
@@ -223,32 +214,31 @@ func (s *solver) rec(i, curW, avail int) {
 		s.bestW = curW
 		s.best = append(s.best[:0], s.cur...)
 	}
-	if i >= len(s.cand) {
+	// Bound: the unblocked candidates past i add at most one member per
+	// clique, so at most cover.
+	if i >= len(s.cand) || curW+cover <= s.bestW {
 		return
 	}
-	// Bound: the unblocked candidates past i add at most avail.
-	if curW+avail <= s.bestW {
-		return
-	}
-	// A member of the current set rules cand[i] out: exclude only.
+	// A member of the current set rules cand[i] out: exclude only. A
+	// blocked position heads no clique, so cover stays.
 	if s.blk.has(i) {
-		s.rec(i+1, curW, avail)
+		s.rec(i+1, curW, cover)
 		return
 	}
-	rest := avail - s.single[i]
 	// Branch 1: include cand[i], blocking its later conflicts.
 	s.cur = append(s.cur, s.cand[i])
-	lost := s.blk.block(i)
+	drop := s.blk.block(i)
 	if s.eval != nil {
-		s.rec(i+1, s.eval.Push(s.loc[i])-s.ctxW, rest-lost)
+		s.rec(i+1, s.eval.Push(s.loc[i])-s.ctxW, cover-drop)
 		s.eval.Pop()
 	} else {
-		s.rec(i+1, s.brute.marginal(s.cur), rest-lost)
+		s.rec(i+1, s.brute.marginal(s.cur), cover-drop)
 	}
 	s.blk.unblock(i)
 	s.cur = s.cur[:len(s.cur)-1]
 	// Branch 2: exclude cand[i].
-	s.rec(i+1, curW, rest)
+	s.rec(i+1, curW, cover-s.blk.pass(i))
+	s.blk.unpass(i)
 }
 
 // conflictMatrix resolves Options.Conflicts: nil selects the system's own
@@ -265,78 +255,113 @@ func conflictMatrix(sys *model.System, override []uint64) ([]uint64, int) {
 	return override, w
 }
 
-// searchRange is the read-only search input every engine shares: the
-// kernel's ordered candidates, their kernel reader indices, singleton
-// weights and block rows, and the summed singleton weight (the root's
-// avail).
-type searchRange struct {
-	cand   []int
-	loc    []int32
-	single []int
-	rows   []uint64
-	rowW   int
-	total  int
-}
-
-func newSearchRange(k *model.LocalKernel) searchRange {
-	sr := searchRange{cand: k.Candidates(), loc: k.LocalIDs(), single: k.Singles()}
-	sr.rows, sr.rowW = k.BlockRows()
-	for _, w := range sr.single {
-		sr.total += w
-	}
-	return sr
-}
-
-// blocker is one searcher's conflict state over candidate positions: the
-// positions some member of the current set rules out, and an undo log of
+// blocker is the searcher's conflict state over candidate positions: the
+// positions some member of the current set rules out, with an undo log of
 // the words each block call overwrote, unwound in LIFO order like
-// model.LocalEval.
+// model.LocalEval; and the head of every clique of the kernel's partition,
+// its first unblocked position at or after the search position (len(single)
+// when there is none), whose singleton weights sum to cover. A head moves
+// only when its position is blocked or passed, so a node touches the heads
+// of the positions it changes and no others.
 type blocker struct {
 	rows   []uint64 // the kernel's block rows, shared read-only
+	clique []int32  // the kernel's cover cliques, shared read-only
+	next   []int32
 	single []int
 	bits   []uint64
 	log    []uint64
+	head   []int
 }
 
-// newBlocker returns an empty blocker whose words are at least minWords
-// long, so parallel workers' hot words never share a cache line.
-func (sr *searchRange) newBlocker(minWords int) blocker {
+// newBlocker returns an empty blocker over k's positions whose heads, one
+// per clique, live in head.
+func newBlocker(k *model.LocalKernel, head []int) blocker {
+	rows, rowW := k.BlockRows()
+	clique, next, heads := k.CoverCliques()
+	for c, h := range heads {
+		head[c] = int(h)
+	}
 	// Each include logs at most rowW words, and at most len(cand) positions
 	// are included at once, so the log never grows past its capacity.
-	n := sr.rowW * (1 + len(sr.cand))
-	buf := make([]uint64, max(n, minWords))
-	return blocker{rows: sr.rows, single: sr.single, bits: buf[:sr.rowW], log: buf[sr.rowW:sr.rowW]}
+	buf := make([]uint64, rowW*(1+len(clique)))
+	return blocker{rows: rows, clique: clique, next: next, single: k.Singles(),
+		bits: buf[:rowW], log: buf[rowW:rowW], head: head}
 }
 
 func (b *blocker) has(i int) bool { return b.bits[uint(i)>>6]&(1<<(uint(i)&63)) != 0 }
 
-// block marks the later conflicts of included position i and returns the
-// summed singleton weight of the positions it newly blocked. Row i has no
-// bits at or before i, so the words below i>>6 are left alone.
+// weight is the singleton weight of head position q, 0 for no head.
+func (b *blocker) weight(q int) int {
+	if q < len(b.single) {
+		return b.single[q]
+	}
+	return 0
+}
+
+// nextOpen returns the first unblocked position of p's clique after p.
+func (b *blocker) nextOpen(p int) int {
+	q := int(b.next[p])
+	for q < len(b.single) && b.has(q) {
+		q = int(b.next[q])
+	}
+	return q
+}
+
+// block includes position i, the head of its clique: it marks i's later
+// conflicts and returns how far cover falls. Row i has no bits at or before
+// i, so the words below i>>6 are left alone. It blocks every later member
+// of i's clique, so that clique loses its head. A newly blocked head moves
+// to its clique's next unblocked position; positions are visited in
+// ascending order, so a head that lands on a position blocked in a later
+// word moves on again when that position is visited.
 func (b *blocker) block(i int) int {
 	rowW := len(b.bits)
 	row := b.rows[i*rowW : (i+1)*rowW]
-	lost := 0
+	drop := b.single[i]
 	for w := i >> 6; w < rowW; w++ {
 		old := b.bits[w]
 		b.log = append(b.log, old)
-		for nb := row[w] &^ old; nb != 0; nb &= nb - 1 {
-			lost += b.single[w<<6|bits.TrailingZeros64(nb)]
-		}
 		b.bits[w] = old | row[w]
+		for nb := row[w] &^ old; nb != 0; nb &= nb - 1 {
+			p := w<<6 | bits.TrailingZeros64(nb)
+			if c := b.clique[p]; b.head[c] == p {
+				q := b.nextOpen(p)
+				b.head[c] = q
+				drop += b.single[p] - b.weight(q)
+			}
+		}
 	}
-	return lost
+	b.head[b.clique[i]] = len(b.single)
+	return drop
 }
 
-// unblock undoes the most recent block, which must have been block(i).
+// unblock undoes the most recent block, which must have been block(i):
+// every position it unblocks heads its clique again if it comes first.
 func (b *blocker) unblock(i int) {
-	base := len(b.log) - (len(b.bits) - i>>6)
-	copy(b.bits[i>>6:], b.log[base:])
+	rowW := len(b.bits)
+	row := b.rows[i*rowW : (i+1)*rowW]
+	base := len(b.log) - (rowW - i>>6)
+	for w := i >> 6; w < rowW; w++ {
+		old := b.log[base+w-i>>6]
+		for nb := row[w] &^ old; nb != 0; nb &= nb - 1 {
+			p := w<<6 | bits.TrailingZeros64(nb)
+			if c := b.clique[p]; p < b.head[c] {
+				b.head[c] = p
+			}
+		}
+		b.bits[w] = old
+	}
 	b.log = b.log[:base]
+	b.head[b.clique[i]] = i
 }
 
-// reset clears every block at once, dropping the log.
-func (b *blocker) reset() {
-	clear(b.bits)
-	b.log = b.log[:0]
+// pass moves the search past unblocked position i without including it:
+// the head of i's clique moves to its next unblocked position. It returns
+// how far cover falls; unpass undoes it.
+func (b *blocker) pass(i int) int {
+	q := b.nextOpen(i)
+	b.head[b.clique[i]] = q
+	return b.single[i] - b.weight(q)
 }
+
+func (b *blocker) unpass(i int) { b.head[b.clique[i]] = i }

@@ -1,11 +1,13 @@
 package mwfs
 
 import (
+	"sync"
 	"testing"
 
 	"rfidsched/internal/deploy"
 	"rfidsched/internal/geom"
 	"rfidsched/internal/model"
+	"rfidsched/internal/randx"
 )
 
 func figure2System(t *testing.T) *model.System {
@@ -203,4 +205,64 @@ func TestSolveConflictsOverride(t *testing.T) {
 		}
 	}()
 	Solve(s, all, Options{Conflicts: make([]uint64, n+1)})
+}
+
+// samePick reports whether two results agree on everything but Nodes.
+func samePick(a, b Result) bool {
+	if a.Weight != b.Weight || a.Exact != b.Exact || len(a.Set) != len(b.Set) {
+		return false
+	}
+	for i := range a.Set {
+		if a.Set[i] != b.Set[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSolveConcurrentOnOneSystem runs many solves on one System from several
+// goroutines at once, as Alg. 3 heads do within a protocol round and serve's
+// workers do across requests: Solve only reads the System and draws its
+// kernel from the shared pool, so every concurrent answer must equal the
+// sequential one (run under -race).
+func TestSolveConcurrentOnOneSystem(t *testing.T) {
+	sys := randomSystem(t, 4711, 24, 200)
+	for tg := 0; tg < sys.NumTags(); tg += 3 {
+		sys.MarkRead(tg)
+	}
+	type job struct {
+		cands []int
+		opts  Options
+	}
+	rng := randx.New(4711)
+	jobs := make([]job, 32)
+	want := make([]Result, len(jobs))
+	for i := range jobs {
+		for v := 0; v < sys.NumReaders(); v++ {
+			switch {
+			case rng.Bool(0.4):
+				jobs[i].cands = append(jobs[i].cands, v)
+			case rng.Bool(0.2):
+				jobs[i].opts.Context = append(jobs[i].opts.Context, v)
+			}
+		}
+		want[i] = Solve(sys, jobs[i].cands, jobs[i].opts)
+	}
+	got := make([]Result, len(jobs))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(jobs); i += 4 {
+				got[i] = Solve(sys, jobs[i].cands, jobs[i].opts)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i := range jobs {
+		if !samePick(got[i], want[i]) {
+			t.Errorf("job %d: concurrent %+v, sequential %+v", i, got[i], want[i])
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package parsearch
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 )
@@ -9,36 +8,34 @@ import (
 // Deadline is the cooperative cancellation token of the anytime solver
 // contracts (DESIGN.md §12). Every solver in the stack — the MWFS branch
 // and bound, the PTAS square DP, Algorithm 2's growth loop, the exact MCS
-// BFS — periodically Polls the deadline at the same cadence it already
-// reserves node budget (one poll per BudgetChunk of work, so the hot loops
-// gain one predictable branch, not a syscall per node). When a poll reports
+// BFS — periodically Polls the deadline at a fixed work cadence (the branch
+// and bound once per BudgetChunk nodes, so the hot loops gain one
+// predictable branch, not a syscall per node). When a poll reports
 // expiry the solver stops expanding, keeps its best-so-far FEASIBLE
 // incumbent, and reports the truncation through its result status; it never
 // returns an error and never returns an infeasible set.
 //
-// A Deadline expires for any of three reasons, checked in this order:
+// A Deadline expires for either of two reasons, checked in this order:
 //
 //   - the deterministic poll budget ran out (PollBudget mode): expiry is a
 //     pure function of how many polls happened, so sequential solvers are
 //     bit-reproducible under truncation — the mode tests and CI use;
-//   - the attached context was canceled (FromContext);
 //   - the wall clock passed the deadline instant (After / At).
 //
 // Modes combine: a Deadline may carry both a poll budget and a wall clock,
 // and whichever trips first wins. Expiry is sticky — once expired, always
 // expired — which is the monotone transition every worker of a pool
-// observes, exactly like Budget exhaustion.
+// observes.
 //
 // A nil *Deadline never expires; every method is nil-receiver safe, so call
 // sites need no guard. A Deadline is safe for concurrent use; with pooled
-// workers (Workers >= 2) the poll budget is consumed in scheduler order, so
-// deterministic truncation is only guaranteed on the sequential path —
-// parallel deadline truncation is anytime-correct but not bit-reproducible,
-// the same caveat mwfs.Options.MaxNodes already carries.
+// workers (PTAS or ExactMCS at Workers >= 2) the poll budget is consumed in
+// scheduler order, so deterministic truncation is only guaranteed on a
+// sequential path — parallel deadline truncation is anytime-correct but not
+// bit-reproducible.
 type Deadline struct {
 	wall  time.Time        // zero = no wall-clock deadline
 	now   func() time.Time // test hook; nil = time.Now
-	ctx   context.Context  // nil = no context
 	polls atomic.Int64     // remaining poll allowance in deterministic mode
 	det   bool             // poll budget active
 	dead  atomic.Bool      // sticky expiry
@@ -50,19 +47,6 @@ func After(d time.Duration) *Deadline { return At(time.Now().Add(d)) }
 
 // At returns a deadline expiring at instant t.
 func At(t time.Time) *Deadline { return &Deadline{wall: t} }
-
-// FromContext returns a deadline that expires when ctx is canceled or its
-// own deadline passes. A nil ctx yields a never-expiring Deadline (nil).
-func FromContext(ctx context.Context) *Deadline {
-	if ctx == nil {
-		return nil
-	}
-	d := &Deadline{ctx: ctx}
-	if t, ok := ctx.Deadline(); ok {
-		d.wall = t
-	}
-	return d
-}
 
 // PollBudget returns a deterministic deadline that expires after n polls.
 // Non-positive n is already expired. This is the node-count fallback mode:
@@ -89,7 +73,7 @@ func (d *Deadline) WithWall(t time.Time) *Deadline {
 func (d *Deadline) SetNow(now func() time.Time) { d.now = now }
 
 // Expired reports whether the deadline has passed without consuming poll
-// budget: sticky expiry, context state, and the wall clock are checked; the
+// budget: sticky expiry and the wall clock are checked; the
 // deterministic allowance is only consumed by Poll. Safe on a nil receiver
 // (never expired).
 func (d *Deadline) Expired() bool {
@@ -97,10 +81,6 @@ func (d *Deadline) Expired() bool {
 		return false
 	}
 	if d.dead.Load() {
-		return true
-	}
-	if d.ctx != nil && d.ctx.Err() != nil {
-		d.dead.Store(true)
 		return true
 	}
 	if !d.wall.IsZero() {

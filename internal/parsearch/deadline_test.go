@@ -1,7 +1,6 @@
 package parsearch
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -55,24 +54,6 @@ func TestExpiredDoesNotConsumePollBudget(t *testing.T) {
 	}
 }
 
-func TestContextDeadline(t *testing.T) {
-	if FromContext(nil) != nil {
-		t.Error("nil context should yield a nil (never-expiring) deadline")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	d := FromContext(ctx)
-	if d.Expired() || d.Poll() {
-		t.Fatal("live context reported expiry")
-	}
-	cancel()
-	if !d.Expired() {
-		t.Fatal("canceled context not expired")
-	}
-	if !d.Poll() {
-		t.Fatal("Poll disagrees with Expired after cancel")
-	}
-}
-
 func TestWallClockDeadline(t *testing.T) {
 	base := time.Unix(1000, 0)
 	now := base
@@ -102,21 +83,5 @@ func TestCombinedPollBudgetAndWall(t *testing.T) {
 	}
 	if !d.Poll() {
 		t.Fatal("poll budget exhausted but not expired")
-	}
-}
-
-func TestBudgetWithDeadlineStopsReserving(t *testing.T) {
-	b := NewBudget(1 << 30).WithDeadline(PollBudget(2))
-	if b.Reserve(BudgetChunk) == 0 {
-		t.Fatal("first reserve refused")
-	}
-	if b.Reserve(BudgetChunk) == 0 {
-		t.Fatal("second reserve refused")
-	}
-	if b.Reserve(BudgetChunk) != 0 {
-		t.Fatal("reserve granted past the deadline")
-	}
-	if !b.Exhausted() || !b.TimedOut() {
-		t.Fatal("deadline expiry not reflected in Exhausted/TimedOut")
 	}
 }

@@ -1,24 +1,14 @@
-// Package parsearch is the deterministic multi-core search kernel shared by
-// the repository's three hot solvers: the branch-and-bound MWFS search
-// (package mwfs), the PTAS shifted-grid DP (core.PTAS) and the exact MCS
-// state-space search (core.ExactMCS).
+// Package parsearch is the deterministic multi-core kernel shared by the
+// repository's two parallel solvers: the PTAS shifted-grid DP (core.PTAS)
+// and the exact MCS state-space search (core.ExactMCS). The branch-and-bound
+// MWFS search (package mwfs) is sequential and uses only the Deadline and
+// its BudgetChunk polling cadence.
 //
-// It provides exactly the three primitives a deterministic parallel
-// branch-and-bound needs and nothing else:
-//
-//   - ForEach, a fixed-size worker pool over an indexed task list. Tasks are
-//     claimed by atomic counter, so scheduling is work-stealing-free and
-//     allocation-free; determinism comes from the CALLER merging per-task
-//     results by task index, never by completion order.
-//   - Incumbent, the shared best-weight bound. It is a monotone atomic
-//     maximum: stale reads are always a LOWER bound on the true incumbent,
-//     so a worker pruning against a stale value only prunes less than it
-//     could — correctness is never at stake, only wasted nodes.
-//   - Budget, the global node allowance. Workers reserve nodes in chunks so
-//     the hot search loop never contends on the shared counter; exhaustion
-//     is a single monotone transition every worker observes, which is what
-//     makes a truncated parallel result carry the same Exact=false meaning
-//     as a truncated sequential one.
+// It provides ForEach, a fixed-size worker pool over an indexed task list.
+// Tasks are claimed by atomic counter, so scheduling is work-stealing-free
+// and allocation-free; determinism comes from the CALLER merging per-task
+// results by task index, never by completion order. Deadline (deadline.go)
+// is the cooperative cancellation token every solver polls.
 //
 // The package is stdlib-only and deliberately knows nothing about systems,
 // weights or schedules; the solvers own their determinism arguments (see
@@ -87,117 +77,20 @@ func ForEach(workers, tasks int, fn func(worker, task int)) {
 	recordTasks(tasks)
 }
 
-// Incumbent is the shared best-weight bound of a parallel branch-and-bound:
-// a monotone atomic maximum. Reads may be arbitrarily stale; staleness only
-// weakens pruning (a stale value is a valid lower bound on the final best),
-// never correctness. Solvers preserving a sequential tie-break must prune
-// strictly BELOW the incumbent (ub < Get()), because a tie found in an
-// earlier subtree of the deterministic merge order must stay discoverable
-// in every later subtree.
-type Incumbent struct {
-	v atomic.Int64
-}
-
-// NewIncumbent returns an incumbent holding the given initial bound.
-func NewIncumbent(initial int) *Incumbent {
-	in := &Incumbent{}
-	in.v.Store(int64(initial))
-	return in
-}
-
-// Get returns the current bound (possibly stale by the time it is used —
-// that is fine, see the type comment).
-func (in *Incumbent) Get() int { return int(in.v.Load()) }
-
-// Propose raises the bound to w if w is larger; lower proposals are no-ops.
-func (in *Incumbent) Propose(w int) {
-	nw := int64(w)
-	for {
-		cur := in.v.Load()
-		if cur >= nw || in.v.CompareAndSwap(cur, nw) {
-			return
-		}
-	}
-}
-
-// BudgetChunk is how many nodes a worker reserves from the shared Budget at
-// a time. Chunking keeps the per-node cost of budget accounting at one
-// local decrement; the price is that a truncated parallel search may expand
-// up to workers×BudgetChunk nodes past the cap, versus exactly one for the
-// sequential path. Exact=false means the same thing either way: the global
-// allowance ran out before the tree did.
+// BudgetChunk is how many search nodes the branch and bound (package mwfs)
+// expands between two polls of its Deadline, so the hot loop gains one
+// predictable branch, not a clock read per node.
 const BudgetChunk = 256
 
-// Budget is a shared node allowance for a truncation-capped search. The
-// caller-facing contract is monotone: once exhausted, every subsequent
-// Reserve returns 0, on every worker. An attached Deadline (WithDeadline)
-// piggybacks cooperative cancellation on the same chunked cadence: Reserve
-// polls it once per call, so a deadline costs the search one check per
-// BudgetChunk nodes, never one per node.
-type Budget struct {
-	max  int64
-	used atomic.Int64
-	dl   *Deadline
-}
-
-// NewBudget returns a budget of max nodes. max <= 0 is an unlimited budget.
-func NewBudget(max int) *Budget {
-	return &Budget{max: int64(max)}
-}
-
-// WithDeadline attaches a cooperative deadline to the budget and returns
-// the budget for chaining. A nil deadline is a no-op. Once the deadline
-// expires, every subsequent Reserve returns 0 on every worker — the same
-// monotone transition as node exhaustion, so solver truncation handling
-// covers both causes with one code path; TimedOut distinguishes them.
-func (b *Budget) WithDeadline(dl *Deadline) *Budget {
-	b.dl = dl
-	return b
-}
-
-// Reserve grants up to n nodes from the allowance and returns how many were
-// granted (0 when the budget is exhausted or the attached deadline has
-// expired). Grants are charged immediately; callers keep unused grant
-// remainders charged — the slack is bounded by one chunk per worker and
-// only matters in already-truncated searches.
-func (b *Budget) Reserve(n int) int {
-	if b.dl.Poll() {
-		return 0
-	}
-	if b.max <= 0 {
-		return n
-	}
-	after := b.used.Add(int64(n))
-	over := after - b.max
-	if over <= 0 {
-		return n
-	}
-	granted := int64(n) - over
-	if granted < 0 {
-		granted = 0
-	}
-	return int(granted)
-}
-
-// Exhausted reports whether the allowance has run out (node cap hit or
-// deadline expired).
-func (b *Budget) Exhausted() bool {
-	return (b.max > 0 && b.used.Load() >= b.max) || b.dl.Expired()
-}
-
-// TimedOut reports whether the attached deadline (if any) has expired —
-// how callers split "anytime: out of time" from "truncated: out of nodes".
-func (b *Budget) TimedOut() bool { return b.dl.Expired() }
-
-// Metrics are the optional observability hooks (see internal/obs): a
-// counter of pool tasks dispatched and a histogram of per-subtree node
-// counts, so trace reports can show where parallel search time goes. The
-// registry pointer is atomic so EnableMetrics is safe to call while pools
-// run; a nil registry (the default) keeps the hot path at one atomic load.
+// Metrics are the optional observability hook (see internal/obs): a counter
+// of pool tasks dispatched, so trace reports can show where parallel search
+// time goes. The registry pointer is atomic so EnableMetrics is safe to call
+// while pools run; a nil registry (the default) keeps the hot path at one
+// atomic load.
 var metricsReg atomic.Pointer[obs.Registry]
 
-// EnableMetrics routes pool telemetry into reg ("parsearch.pool.tasks"
-// counter, "parsearch.subtree_nodes" histogram). Pass nil to disable.
+// EnableMetrics routes pool telemetry into reg (the "parsearch.pool.tasks"
+// counter). Pass nil to disable.
 func EnableMetrics(reg *obs.Registry) {
 	metricsReg.Store(reg)
 }
@@ -205,13 +98,5 @@ func EnableMetrics(reg *obs.Registry) {
 func recordTasks(n int) {
 	if reg := metricsReg.Load(); reg != nil {
 		reg.Counter("parsearch.pool.tasks").Add(int64(n))
-	}
-}
-
-// RecordSubtreeNodes feeds one solved subtree's expanded-node count into the
-// metrics histogram; no-op while metrics are disabled.
-func RecordSubtreeNodes(nodes int) {
-	if reg := metricsReg.Load(); reg != nil {
-		reg.Histogram("parsearch.subtree_nodes").Observe(float64(nodes))
 	}
 }

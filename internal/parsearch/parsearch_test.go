@@ -2,7 +2,6 @@ package parsearch
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -53,115 +52,19 @@ func TestForEachInlineOrder(t *testing.T) {
 	}
 }
 
-func TestIncumbentMonotoneMax(t *testing.T) {
-	in := NewIncumbent(10)
-	in.Propose(5)
-	if got := in.Get(); got != 10 {
-		t.Fatalf("lower proposal moved the bound to %d", got)
-	}
-	in.Propose(17)
-	if got := in.Get(); got != 17 {
-		t.Fatalf("bound = %d, want 17", got)
-	}
-
-	// Concurrent proposals: the final bound is the maximum proposed.
-	in = NewIncumbent(0)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				in.Propose(g*1000 + i)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := in.Get(); got != 7999 {
-		t.Fatalf("concurrent max = %d, want 7999", got)
-	}
-}
-
-func TestBudgetReserve(t *testing.T) {
-	b := NewBudget(10)
-	if got := b.Reserve(4); got != 4 {
-		t.Fatalf("first reserve granted %d, want 4", got)
-	}
-	if got := b.Reserve(4); got != 4 {
-		t.Fatalf("second reserve granted %d, want 4", got)
-	}
-	if got := b.Reserve(4); got != 2 {
-		t.Fatalf("partial reserve granted %d, want 2", got)
-	}
-	if !b.Exhausted() {
-		t.Fatal("budget should be exhausted")
-	}
-	if got := b.Reserve(1); got != 0 {
-		t.Fatalf("exhausted reserve granted %d, want 0", got)
-	}
-
-	unlimited := NewBudget(0)
-	for i := 0; i < 100; i++ {
-		if got := unlimited.Reserve(BudgetChunk); got != BudgetChunk {
-			t.Fatalf("unlimited reserve granted %d", got)
-		}
-	}
-	if unlimited.Exhausted() {
-		t.Fatal("unlimited budget reported exhausted")
-	}
-}
-
-func TestBudgetMonotoneUnderContention(t *testing.T) {
-	// Total granted never exceeds max, and once any worker sees a zero
-	// grant, every later reserve is zero too.
-	const maxNodes = 100_000
-	b := NewBudget(maxNodes)
-	var granted atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				got := b.Reserve(BudgetChunk)
-				granted.Add(int64(got))
-				if got == 0 {
-					if again := b.Reserve(BudgetChunk); again != 0 {
-						t.Errorf("reserve granted %d after a denial", again)
-					}
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if total := granted.Load(); total != maxNodes {
-		t.Fatalf("granted %d nodes total, want exactly %d", total, maxNodes)
-	}
-}
-
 func TestMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	EnableMetrics(reg)
 	defer EnableMetrics(nil)
 
 	ForEach(2, 10, func(worker, task int) {})
-	RecordSubtreeNodes(40)
-	RecordSubtreeNodes(60)
-
-	snap := reg.Snapshot()
-	if got := snap.Counters["parsearch.pool.tasks"]; got != 10 {
+	if got := reg.Snapshot().Counters["parsearch.pool.tasks"]; got != 10 {
 		t.Errorf("pool.tasks = %d, want 10", got)
-	}
-	h := snap.Histograms["parsearch.subtree_nodes"]
-	if h.N != 2 || h.Mean != 50 {
-		t.Errorf("subtree_nodes N=%d Mean=%v, want 2/50", h.N, h.Mean)
 	}
 
 	// Disabled metrics must be a no-op, not a panic.
 	EnableMetrics(nil)
 	ForEach(2, 3, func(worker, task int) {})
-	RecordSubtreeNodes(1)
 	if got := reg.Snapshot().Counters["parsearch.pool.tasks"]; got != 10 {
 		t.Errorf("disabled metrics still recorded: %d", got)
 	}

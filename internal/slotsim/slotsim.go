@@ -48,9 +48,9 @@ type Config struct {
 	RecordTimeline bool
 
 	// SolverWorkers routes a worker count into schedulers exposing a
-	// SetWorkers(int) knob (PTAS, Growth, baseline.Exact), mirroring
-	// core.MCSOptions.SolverWorkers; 0 leaves the scheduler untouched.
-	// Results are bit-identical at every value.
+	// SetWorkers(int) knob, mirroring core.MCSOptions.SolverWorkers; only
+	// the PTAS pools its work. 0 leaves the scheduler untouched. Results
+	// are bit-identical at every value.
 	SolverWorkers int
 
 	// SlotDeadline bounds each macro slot's one-shot computation in
